@@ -48,7 +48,6 @@ from .synthesis import (
     HalfSplit,
     RefinedSplit,
     YZSplit,
-    base_derivation,
     lift_to_lattice,
     make_yz,
     refine_and_split,
@@ -98,7 +97,6 @@ __all__ = [
     "YZSplit",
     "alphabet",
     "apply_blocking",
-    "base_derivation",
     "bounded_language",
     "burago_partition",
     "canonical_json",

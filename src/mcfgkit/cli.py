@@ -2,7 +2,7 @@
 
 Exit codes: 0 for a positive result, 1 for a valid negative answer
 (non-membership, failed verification, unrecognized string), 2 for usage
-errors, malformed files, or internal invariant failures.
+errors, malformed files, internal invariant failures, or xcheck mismatches.
 """
 
 from __future__ import annotations
@@ -302,8 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("emit-grammar", help="print the grammar for rank n as JSON")
     p.add_argument("--n", type=_positive_dimension, required=True)
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.add_argument("--json", action="store_true",
-                   help="accepted for symmetry; the output is always JSON")
     p.set_defaults(handler=_cmd_emit_grammar)
 
     p = sub.add_parser("check", help="membership by displacement")

@@ -8,7 +8,6 @@ The derivation as a whole "ends in" the conclusion of its last step.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -17,6 +16,8 @@ from .grammar import (
     Grammar,
     GrammarFormatError,
     Word,
+    _decode_json,
+    _expect,
     canonical_json,
     instantiate,
     require_valid,
@@ -93,9 +94,6 @@ class Derivation:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-    def prefix(self, length: int) -> "Derivation":
-        return Derivation(self.steps[:length])
 
 
 def apply_blocking(blocking: Blocking, left: tuple[Word, ...], right: tuple[Word, ...]) -> tuple[Word, ...]:
@@ -211,11 +209,6 @@ def derivation_to_json_dict(d: Derivation) -> dict:
     }
 
 
-def _expect(cond: bool, message: str) -> None:
-    if not cond:
-        raise GrammarFormatError(message)
-
-
 def derivation_from_json_dict(data: object) -> Derivation:
     _expect(isinstance(data, dict), "derivation must be a JSON object")
     assert isinstance(data, dict)
@@ -276,8 +269,4 @@ def dumps_derivation(d: Derivation) -> str:
 
 
 def loads_derivation(text: str) -> Derivation:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GrammarFormatError(f"invalid JSON: {exc}") from exc
-    return derivation_from_json_dict(data)
+    return derivation_from_json_dict(_decode_json(text))

@@ -51,12 +51,6 @@ class Rule:
     def arity(self) -> int:
         return len(self.templates)
 
-    def rhs_variables(self) -> list[str]:
-        out: list[str] = []
-        for _, names in self.rhs:
-            out.extend(names)
-        return out
-
 
 @dataclass(frozen=True)
 class CombineSchema:
@@ -97,11 +91,6 @@ class Grammar:
     @cached_property
     def arities(self) -> dict[str, int]:
         return dict(self.nonterminals)
-
-    @cached_property
-    def degree(self) -> int:
-        """Largest declared arity."""
-        return max((a for _, a in self.nonterminals), default=0)
 
 
 def instantiate(template: Template, subst: dict[str, Word]) -> Word:
@@ -289,9 +278,12 @@ def dumps_grammar(g: Grammar) -> str:
     return canonical_json(grammar_to_json_dict(g))
 
 
-def loads_grammar(text: str) -> Grammar:
+def _decode_json(text: str) -> object:
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise GrammarFormatError(f"invalid JSON: {exc}") from exc
-    return grammar_from_json_dict(data)
+
+
+def loads_grammar(text: str) -> Grammar:
+    return grammar_from_json_dict(_decode_json(text))

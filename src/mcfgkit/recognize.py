@@ -16,7 +16,8 @@ order, pass after pass until a fixpoint.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+from itertools import product
+from typing import Callable
 
 from .derivation import Derivation, Instance, RuleInstance
 from .grammar import Grammar, Word, instantiate, require_valid
@@ -27,16 +28,6 @@ class SchemaPresentError(ValueError):
 
 
 _Provenance = tuple[int, tuple[Instance, ...]]
-
-
-def _premise_tuples(pools: list[list[Instance]]) -> Iterator[tuple[Instance, ...]]:
-    """All ways to pick one instance per pool, earliest discoveries first."""
-    if not pools:
-        yield ()
-        return
-    for head in pools[0]:
-        for rest in _premise_tuples(pools[1:]):
-            yield (head,) + rest
 
 
 def _close(
@@ -62,8 +53,8 @@ def _close(
     while changed:
         changed = False
         for index, rule in enumerate(g.rules):
-            pools = [list(by_nt[nt]) for nt, _ in rule.rhs]
-            for premises in _premise_tuples(pools):
+            # product snapshots every pool before yielding the first tuple
+            for premises in product(*(by_nt[nt] for nt, _ in rule.rhs)):
                 subst: dict[str, Word] = {}
                 for (_, names), inst in zip(rule.rhs, premises):
                     subst.update(zip(names, inst.components))
@@ -93,6 +84,14 @@ def _witness(g: Grammar, target: Instance, derived: dict[Instance, _Provenance])
     return Derivation(tuple(steps))
 
 
+def _require_schema_free(g: Grammar, task: str) -> None:
+    require_valid(g)
+    if g.schemas:
+        raise SchemaPresentError(
+            f"{task} requires a schema-free grammar; expand or avoid schemas"
+        )
+
+
 def recognize_bounded(g: Grammar, s: Word) -> tuple[bool, Derivation | None]:
     """Decide whether g derives S(s); returns (answer, witness or None).
 
@@ -100,11 +99,7 @@ def recognize_bounded(g: Grammar, s: Word) -> tuple[bool, Derivation | None]:
     raises SchemaPresentError since its rule family cannot be enumerated.
     The returned witness always passes check_derivation and ends in S(s).
     """
-    require_valid(g)
-    if g.schemas:
-        raise SchemaPresentError(
-            "recognition requires a schema-free grammar; expand or avoid schemas"
-        )
+    _require_schema_free(g, "recognition")
     runs = {s[i:j] for i in range(len(s) + 1) for j in range(i, len(s) + 1)}
     derived = _close(g, len(s), runs.__contains__)
     target = Instance(g.start, (s,))
@@ -119,10 +114,6 @@ def bounded_language(g: Grammar, max_len: int) -> set[Word]:
     Complete for non-deleting grammars by the same argument as
     recognize_bounded; the closure budget is max_len.
     """
-    require_valid(g)
-    if g.schemas:
-        raise SchemaPresentError(
-            "bounded language requires a schema-free grammar; expand or avoid schemas"
-        )
+    _require_schema_free(g, "bounded language")
     derived = _close(g, max_len, lambda _: True)
     return {inst.components[0] for inst in derived if inst.nt == g.start}

@@ -21,13 +21,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Iterator
 
 from .burago import InternalInvariantError, burago_partition
 from .derivation import Derivation, RuleInstance, apply_blocking
 from .grammar import Blocking, Grammar, Word, instantiate
 from .zn import (
-    GrammarParams,
     LatticePath,
     Vec,
     displacement,
@@ -111,19 +111,11 @@ class HalfSplit:
             make_token(*self.path.steps[j]) for j in range(lo // 2, hi // 2)
         )
 
-    def side_half_lengths(self) -> tuple[int, int]:
-        """(member, non-member) total extents in half-units."""
-        inside = sum(
-            self.boundaries[p + 1] - self.boundaries[p] for p in self.members
-        )
-        return inside, 2 * len(self.path) - inside
-
 
 @dataclass(frozen=True)
 class RefinedSplit:
     """Both halves of an m-tuple, refined and tagged with S and T."""
 
-    k: int
     left: HalfSplit
     right: HalfSplit
 
@@ -139,17 +131,6 @@ class RefinedSplit:
                 total = vadd(total, half.part_diff(p))
         return total
 
-    def side_token_budgets(self) -> tuple[int, int]:
-        """(member-side, other-side) extents across both halves, half-units."""
-        a1, b1 = self.left.side_half_lengths()
-        a2, b2 = self.right.side_half_lengths()
-        return a1 + a2, b1 + b2
-
-    def cardinalities(self) -> tuple[int, int, int, int]:
-        s = len(self.left.members)
-        t = len(self.right.members)
-        return s, self.left.part_count - s, t, self.right.part_count - t
-
 
 @dataclass(frozen=True)
 class YZSplit:
@@ -158,9 +139,6 @@ class YZSplit:
     y: tuple[Word, ...]
     z: tuple[Word, ...]
     blocking: Blocking
-
-    def reassemble(self) -> tuple[Word, ...]:
-        return apply_blocking(self.blocking, self.y, self.z)
 
 
 def _split_half(word: Word, comps: tuple[Word, ...], n: int, k: int) -> HalfSplit:
@@ -199,7 +177,7 @@ def _normalize(half: HalfSplit, prefer_large: bool) -> HalfSplit:
     rest = half.part_count - size
     if (size < rest) if prefer_large else (size > rest):
         flipped = frozenset(range(half.part_count)) - half.members
-        return HalfSplit(half.path, half.component_cuts, half.boundaries, flipped)
+        return replace(half, members=flipped)
     return half
 
 
@@ -223,20 +201,7 @@ def refine_and_split(x: tuple[Word, ...], n: int, k: int) -> RefinedSplit:
         raise ValueError("both halves must have nonzero displacement")
     left = _normalize(_split_half(h1, x[: m // 2], n, k), prefer_large=True)
     right = _normalize(_split_half(h2, x[m // 2 :], n, k), prefer_large=False)
-    return RefinedSplit(k, left, right)
-
-
-def _crossing_effect(half: HalfSplit, i: int) -> tuple[int, int]:
-    """(edge axis, effect sign) for interior boundary i at an odd parameter.
-
-    Moving the boundary by delta changes the member-side balance sum by
-    delta * sign on the axis of the edge the boundary sits on.
-    """
-    v = half.boundaries[i]
-    axis, edge_sign = half.path.step_at(v)
-    inside_left = (i - 1) in half.members
-    inside_right = i in half.members
-    return axis, edge_sign * (int(inside_left) - int(inside_right))
+    return RefinedSplit(left, right)
 
 
 def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
@@ -252,8 +217,8 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
     property survives. A full scan with no legal move would contradict
     the parity of crossing endpoints and raises InternalInvariantError.
     """
-    bounds = [list(split.left.boundaries), list(split.right.boundaries)]
-    halves = [split.left, split.right]
+    halves = (split.left, split.right)
+    bounds = [list(half.boundaries) for half in halves]
 
     def odd_positions() -> list[tuple[int, int]]:
         return [
@@ -263,13 +228,36 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
             if bounds[h][i] % 2
         ]
 
-    def current(h: int) -> HalfSplit:
-        return HalfSplit(
-            halves[h].path,
-            halves[h].component_cuts,
-            tuple(bounds[h]),
-            halves[h].members,
-        )
+    def crossing(h: int, i: int) -> tuple[int, int] | None:
+        """(edge axis, effect sign) of boundary i, None between same sides.
+
+        Moving the boundary by delta changes the member-side balance sum
+        by delta * sign on the axis of the edge the boundary sits on.
+        """
+        inside_left = (i - 1) in halves[h].members
+        inside_right = i in halves[h].members
+        if inside_left == inside_right:
+            return None
+        axis, edge_sign = halves[h].path.step_at(bounds[h][i])
+        return axis, edge_sign * (int(inside_left) - int(inside_right))
+
+    def candidates(odds: list[tuple[int, int]]) -> Iterator[list[tuple[int, int, int]]]:
+        """Moves in trial order: boundaries in order, partners in order, -1 before +1."""
+        for h, i in odds:
+            effect = crossing(h, i)
+            if effect is None:
+                for delta in (-1, 1):
+                    yield [(h, i, delta)]
+                continue
+            axis, sign = effect
+            for h2, j in odds:
+                if (h2, j) == (h, i):
+                    continue
+                partner = crossing(h2, j)
+                if partner is None or partner[0] != axis:
+                    continue
+                for delta in (-1, 1):
+                    yield [(h, i, delta), (h2, j, -delta * sign * partner[1])]
 
     def legal(moves: list[tuple[int, int, int]]) -> bool:
         trial = [list(bounds[0]), list(bounds[1])]
@@ -288,51 +276,9 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
                     other += extent
         return inside >= 1 and other >= 1
 
-    def apply(moves: list[tuple[int, int, int]]) -> None:
-        for h, i, delta in moves:
-            bounds[h][i] += delta
-
-    budget = len(odd_positions())
-    for _ in range(budget):
-        odds = odd_positions()
-        if not odds:
-            break
-        moved = False
-        for h, i in odds:
-            left_in = (i - 1) in halves[h].members
-            right_in = i in halves[h].members
-            if left_in == right_in:
-                for delta in (-1, 1):
-                    if legal([(h, i, delta)]):
-                        apply([(h, i, delta)])
-                        moved = True
-                        break
-                if moved:
-                    break
-                continue
-            axis, sign = _crossing_effect(current(h), i)
-            for h2, j in odds:
-                if (h2, j) == (h, i):
-                    continue
-                l2 = (j - 1) in halves[h2].members
-                r2 = j in halves[h2].members
-                if l2 == r2:
-                    continue
-                axis2, sign2 = _crossing_effect(current(h2), j)
-                if axis2 != axis:
-                    continue
-                for delta in (-1, 1):
-                    partner_delta = -delta * sign * sign2
-                    moves = [(h, i, delta), (h2, j, partner_delta)]
-                    if legal(moves):
-                        apply(moves)
-                        moved = True
-                        break
-                if moved:
-                    break
-            if moved:
-                break
-        if not moved:
+    while odds := odd_positions():
+        moves = next((mv for mv in candidates(odds) if legal(mv)), None)
+        if moves is None:
             raise InternalInvariantError(
                 "no mid-lattice endpoint can move",
                 {
@@ -344,18 +290,12 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
                     "right_steps": split.right.path.steps,
                 },
             )
-    result = RefinedSplit(split.k, current(0), current(1))
-    leftover = [
-        (h, i)
-        for h in (0, 1)
-        for i in range(len(bounds[h]))
-        if bounds[h][i] % 2
-    ]
-    if leftover:
-        raise InternalInvariantError(
-            "mid-lattice endpoints survived the repair budget",
-            {"positions": leftover, "boundaries": (tuple(bounds[0]), tuple(bounds[1]))},
-        )
+        for h, i, delta in moves:
+            bounds[h][i] += delta
+    result = RefinedSplit(
+        replace(split.left, boundaries=tuple(bounds[0])),
+        replace(split.right, boundaries=tuple(bounds[1])),
+    )
     if any(result.condition_sum()):
         raise InternalInvariantError(
             "repair moves changed the balance sum",
@@ -403,20 +343,19 @@ def make_yz(split: RefinedSplit) -> YZSplit:
     return YZSplit(tuple(y), tuple(z), _pad_to_last(blocks, 2 * m))
 
 
-class _Builder:
-    """Accumulates derivation steps, reusing axiom steps by rule index."""
+class _Synthesizer:
+    """One synthesis run: grammar, sizes, emitted steps and axiom reuse."""
 
     def __init__(self, g: Grammar):
         self.g = g
+        self.n = len(g.terminals) // 2
+        self.params = grammar_params(self.n)
         self.steps: list[RuleInstance] = []
         self._axioms: dict[int, int] = {}
 
     def _push(self, step: RuleInstance) -> int:
         self.steps.append(step)
         return len(self.steps) - 1
-
-    def conclusion(self, index: int) -> tuple[Word, ...]:
-        return self.steps[index].conclusion
 
     def axiom(self, rule_index: int) -> int:
         if rule_index not in self._axioms:
@@ -433,29 +372,14 @@ class _Builder:
 
     def combine(self, left: int, right: int, blocking: Blocking) -> int:
         schema = self.g.schemas[0]
-        comps = apply_blocking(blocking, self.conclusion(left), self.conclusion(right))
+        comps = apply_blocking(
+            blocking, self.steps[left].conclusion, self.steps[right].conclusion
+        )
         return self._push(
             RuleInstance.combine(
                 schema.nonterminal, blocking, schema.nonterminal, comps, (left, right)
             )
         )
-
-    def derivation(self) -> Derivation:
-        return Derivation(tuple(self.steps))
-
-
-class _Synthesizer:
-    """Shared state for one synthesis run: grammar, sizes, step builder."""
-
-    def __init__(self, g: Grammar):
-        self.g = g
-        self.n = len(g.terminals) // 2
-        self.params = grammar_params(self.n)
-        self.build = _Builder(g)
-
-    def axiom_index(self, axis: int) -> int:
-        # rule order fixed by make_grammar: start rule, empty axiom, per-axis axioms
-        return 1 + axis
 
     def base(self, x: tuple[Word, ...]) -> int:
         """Direct construction for total length <= m.
@@ -466,17 +390,18 @@ class _Synthesizer:
         and one closing combine against the empty axiom arranges the
         letters into the requested components.
         """
-        k, m = self.params
+        m = self.params.m
         tokens = _flatten(x)
         if not tokens:
-            return self.build.axiom(1)
+            return self.axiom(1)
+        # rule order fixed by make_grammar: start rule, empty axiom, per-axis axioms
         for axis in range(1, self.n + 1):
             shape: tuple[Word, ...] = (
                 (make_token(axis, 1),),
                 (make_token(axis, -1),),
             ) + ((),) * (m - 2)
             if x == shape:
-                return self.build.axiom(self.axiom_index(axis))
+                return self.axiom(1 + axis)
 
         pending: dict[tuple[int, int], deque[int]] = {}
         pairs: list[tuple[int, int, int]] = []
@@ -492,38 +417,38 @@ class _Synthesizer:
 
         slot_of: dict[int, int] = {}
         axis0, plus0, minus0 = pairs[0]
-        acc = self.build.axiom(self.axiom_index(axis0))
+        acc = self.axiom(1 + axis0)
         slot_of[plus0] = 1
         slot_of[minus0] = 2
         for r, (axis, plus, minus) in enumerate(pairs[1:], start=1):
-            ax = self.build.axiom(self.axiom_index(axis))
+            ax = self.axiom(1 + axis)
             blocks: list[list[int]] = [[j] for j in range(1, 2 * r + 1)]
             blocks.append([m + 1])
             blocks.append([m + 2])
             blocks.extend([] for _ in range(m - len(blocks)))
-            acc = self.build.combine(acc, ax, _pad_to_last(blocks, 2 * m))
+            acc = self.combine(acc, ax, _pad_to_last(blocks, 2 * m))
             slot_of[plus] = 2 * r + 1
             slot_of[minus] = 2 * r + 2
 
-        empty = self.build.axiom(1)
+        empty = self.axiom(1)
         blocks = [[] for _ in range(m)]
         pos = 0
         for i, comp in enumerate(x):
             for _ in comp:
                 blocks[i].append(slot_of[pos])
                 pos += 1
-        return self.build.combine(acc, empty, _pad_to_last(blocks, 2 * m))
+        return self.combine(acc, empty, _pad_to_last(blocks, 2 * m))
 
     def halve(self, x: tuple[Word, ...]) -> int:
         """Both halves displace zero and carry tokens: recurse on each."""
-        k, m = self.params
+        m = self.params.m
         half = m // 2
         pad = ((),) * half
         il = self.synth(x[:half] + pad)
         ir = self.synth(x[half:] + pad)
         blocks = [[i] for i in range(1, half + 1)]
         blocks += [[m + i] for i in range(1, half + 1)]
-        return self.build.combine(il, ir, _pad_to_last(blocks, 2 * m))
+        return self.combine(il, ir, _pad_to_last(blocks, 2 * m))
 
     def rebalance(self, x: tuple[Word, ...]) -> int:
         """Re-cut a lopsided tuple so every component is nonempty.
@@ -535,9 +460,8 @@ class _Synthesizer:
         the re-cut tuple therefore strictly descends at the next level,
         and one combine against the empty axiom regroups the result.
         """
-        k, m = self.params
+        m = self.params.m
         tokens = _flatten(x)
-        total = len(tokens)
         ladder = [0]
         pos = 0
         for comp in x:
@@ -552,12 +476,12 @@ class _Synthesizer:
             tokens[a:b] for a, b in zip(distinct, distinct[1:])
         )
         inner = self.synth(recut)
-        empty = self.build.axiom(1)
+        empty = self.axiom(1)
         blocks: list[list[int]] = [[] for _ in range(m)]
         for slot in range(1, m + 1):
             comp = _owner_component(tuple(ladder), distinct[slot])
             blocks[comp - 1].append(slot)
-        return self.build.combine(inner, empty, _pad_to_last(blocks, 2 * m))
+        return self.combine(inner, empty, _pad_to_last(blocks, 2 * m))
 
     def synth(self, x: tuple[Word, ...]) -> int:
         k, m = self.params
@@ -570,37 +494,22 @@ class _Synthesizer:
             yz = make_yz(split)
             iy = self.synth(yz.y)
             iz = self.synth(yz.z)
-            return self.build.combine(iy, iz, yz.blocking)
+            return self.combine(iy, iz, yz.blocking)
         if h1 and h2:
             return self.halve(x)
         return self.rebalance(x)
 
 
-def base_derivation(x: tuple[Word, ...], g: Grammar) -> Derivation:
-    """Derivation of I(x) for tuples whose total length is at most m."""
+def synthesize(x: tuple[Word, ...], g: Grammar) -> Derivation:
+    """Derivation of I(x) for any zero-displacement m-tuple of g's rank."""
     syn = _Synthesizer(g)
-    _, m = syn.params
+    m = syn.params.m
     if len(x) != m:
         raise ValueError(f"expected an {m}-tuple, got {len(x)} components")
-    if sum(len(c) for c in x) > m:
-        raise ValueError("total length exceeds the base-case budget")
-    if any(displacement(_flatten(x), syn.n)):
-        raise ValueError("tuple displacement must be zero")
-    syn.base(x)
-    return syn.build.derivation()
-
-
-def synthesize(x: tuple[Word, ...], g: Grammar, params: GrammarParams) -> Derivation:
-    """Derivation of I(x) for any zero-displacement m-tuple."""
-    syn = _Synthesizer(g)
-    if syn.params != params:
-        raise ValueError(f"params {params} do not match the grammar ({syn.params})")
-    if len(x) != params.m:
-        raise ValueError(f"expected an {params.m}-tuple, got {len(x)} components")
     if any(displacement(_flatten(x), syn.n)):
         raise ValueError("tuple displacement must be zero")
     syn.synth(x)
-    return syn.build.derivation()
+    return Derivation(tuple(syn.steps))
 
 
 def synthesize_word(w: Word, n: int) -> Derivation | None:
@@ -613,10 +522,8 @@ def synthesize_word(w: Word, n: int) -> Derivation | None:
     """
     if any(displacement(w, n)):
         return None
-    g = make_grammar(n)
-    params = grammar_params(n)
-    m = params.m
-    syn = _Synthesizer(g)
+    syn = _Synthesizer(make_grammar(n))
+    m = syn.params.m
     if len(w) <= m:
         x = tuple((t,) for t in w) + ((),) * (m - len(w))
     else:
@@ -630,5 +537,5 @@ def synthesize_word(w: Word, n: int) -> Derivation | None:
         x = tuple(x)
     top = syn.synth(x)
     subst = {f"x{i + 1}": x[i] for i in range(m)}
-    syn.build.concrete(0, subst, (top,))
-    return syn.build.derivation()
+    syn.concrete(0, subst, (top,))
+    return Derivation(tuple(syn.steps))

@@ -17,6 +17,7 @@ from mcfgkit import (
     loads_derivation,
     loads_grammar,
     make_grammar,
+    synthesize_word,
 )
 from mcfgkit.cli import DEFAULT_SEED, main, run
 
@@ -265,6 +266,20 @@ def test_xcheck_default_seed_is_stable(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["seed"] == DEFAULT_SEED
+
+
+def test_xcheck_mismatch_exits_two(monkeypatch, capsys):
+    # a synthesizer that refuses one member is a defect, reported with exit 2
+    monkeypatch.setattr(
+        "mcfgkit.cli.synthesize_word",
+        lambda w, n: None if w == ("a1", "A1") else synthesize_word(w, n),
+    )
+    code, out, err = run_out(capsys, ["xcheck", "--n", "1", "--max-len", "2", "--json"])
+    assert code == 2
+    assert json.loads(out)["mismatches"] == [
+        {"word": ["a1", "A1"], "member": True, "derived": False}
+    ]
+    assert "cross-check failed" in err
 
 
 @pytest.mark.parametrize(

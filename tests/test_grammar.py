@@ -48,7 +48,6 @@ def test_instantiate_rejects_bad_item_kind():
 def test_rule_accessors():
     rule = Rule("S", ((var("x"), var("y")),), (("I", ("x", "y")),))
     assert rule.arity == 1
-    assert rule.rhs_variables() == ["x", "y"]
 
 
 def test_validate_accepts_well_formed_grammar(abcd_grammar):
@@ -161,9 +160,8 @@ def test_blocking_violations():
     assert Blocking(((1, 2), (3, 5))).violations(2) != []  # slot out of range
 
 
-def test_grammar_degree_and_arities(abcd_grammar):
+def test_grammar_arities(abcd_grammar):
     assert abcd_grammar.arities == {"S": 1, "I": 2}
-    assert abcd_grammar.degree == 2
 
 
 def test_json_round_trip_preserves_grammars(abcd_grammar):

@@ -9,11 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcfgkit import (
-    GrammarParams,
     Instance,
     InternalInvariantError,
     Word,
-    base_derivation,
+    apply_blocking,
     check_derivation,
     displacement,
     grammar_params,
@@ -105,14 +104,13 @@ def test_intermediate_instances_displace_zero(n, data):
 def test_leading_component_split_synthesizes():
     # every short zero-displacement word placed whole into the first slot
     g = make_grammar(1)
-    params = grammar_params(1)
-    pad = ((),) * (params.m - 1)
+    pad = ((),) * (grammar_params(1).m - 1)
     checked = 0
     for word in all_words(1, 8):
         if any(displacement(word, 1)):
             continue
         x = (word,) + pad
-        final = check_derivation(g, synthesize(x, g, params))
+        final = check_derivation(g, synthesize(x, g))
         assert final == Instance("I", x)
         checked += 1
     assert checked == 99
@@ -120,19 +118,17 @@ def test_leading_component_split_synthesizes():
 
 def test_trailing_component_split_synthesizes():
     g = make_grammar(1)
-    params = grammar_params(1)
     word = parse_word("a1 a1 A1 A1 a1 A1 a1 A1")
-    x = ((),) * (params.m - 1) + (word,)
-    final = check_derivation(g, synthesize(x, g, params))
+    x = ((),) * (grammar_params(1).m - 1) + (word,)
+    final = check_derivation(g, synthesize(x, g))
     assert final == Instance("I", x)
 
 
 def test_zero_displacement_halves_synthesize():
     g = make_grammar(1)
-    params = grammar_params(1)
     quad = parse_word("a1 A1 a1 A1")
     x = (quad, (), (), quad, (), ())
-    final = check_derivation(g, synthesize(x, g, params))
+    final = check_derivation(g, synthesize(x, g))
     assert final == Instance("I", x)
 
 
@@ -151,7 +147,6 @@ def test_refined_split_shape(n, data):
     x = data.draw(splittable_tuples(n))
     k, m = grammar_params(n)
     split = refine_and_split(x, n, k)
-    assert split.k == k
     assert split.m == len(x)
     assert split.condition_sum() == (0,) * n
     for half, comps in ((split.left, x[: m // 2]), (split.right, x[m // 2 :])):
@@ -164,7 +159,10 @@ def test_refined_split_shape(n, data):
         assert half.component_cuts == tuple(
             sum(2 * len(c) for c in comps[: i + 1]) for i in range(len(comps) - 1)
         )
-    s, s_rest, t, t_rest = split.cardinalities()
+    s = len(split.left.members)
+    t = len(split.right.members)
+    s_rest = split.left.part_count - s
+    t_rest = split.right.part_count - t
     assert s + s_rest == t + t_rest == m // 2 + 2 * k
     assert s >= s_rest and t <= t_rest
     assert k <= s <= 5 * k - 1
@@ -187,7 +185,12 @@ def test_lift_moves_boundaries_onto_the_lattice(n, data):
         assert after.members == before.members
         assert not Counter(after.component_cuts) - Counter(after.boundaries)
     assert lifted.condition_sum() == (0,) * n
-    inside, outside = lifted.side_token_budgets()
+    inside = sum(
+        half.boundaries[p + 1] - half.boundaries[p]
+        for half in (lifted.left, lifted.right)
+        for p in half.members
+    )
+    outside = sum(2 * len(half.path) for half in (lifted.left, lifted.right)) - inside
     assert inside >= 1 and outside >= 1
 
 
@@ -211,7 +214,7 @@ def test_yz_reassembles_to_the_original_tuple(n, data):
     yz = make_yz(lift_to_lattice(refine_and_split(x, n, k)))
     assert len(yz.y) == len(yz.z) == m
     assert yz.blocking.violations(m) == []
-    assert yz.reassemble() == x
+    assert apply_blocking(yz.blocking, yz.y, yz.z) == x
     assert displacement(flatten(yz.y), n) == (0,) * n
     assert displacement(flatten(yz.z), n) == (0,) * n
     total = len(flatten(x))
@@ -227,28 +230,16 @@ def test_base_derivation_small_tuples():
         (("A1",), ("a1",), (), (), (), ()),
         (("a1", "A1", "a1", "A1"), (), ("A1",), (), ("a1",), ()),
     ):
-        final = check_derivation(g, base_derivation(x, g))
+        final = check_derivation(g, synthesize(x, g))
         assert final == Instance("I", x)
-
-
-def test_base_derivation_validation():
-    g = make_grammar(1)
-    with pytest.raises(ValueError, match="6-tuple"):
-        base_derivation(((),) * 5, g)
-    with pytest.raises(ValueError, match="budget"):
-        base_derivation((parse_word("a1 A1 a1 A1 a1 A1 a1"), (), (), (), (), ()), g)
-    with pytest.raises(ValueError, match="zero"):
-        base_derivation((("a1",), (), (), (), (), ()), g)
 
 
 def test_synthesize_validation():
     g = make_grammar(1)
-    with pytest.raises(ValueError, match="params"):
-        synthesize(((),) * 6, g, GrammarParams(k=2, m=14))
     with pytest.raises(ValueError, match="6-tuple"):
-        synthesize(((),) * 4, g, grammar_params(1))
+        synthesize(((),) * 4, g)
     with pytest.raises(ValueError, match="zero"):
-        synthesize((("a1",),) + ((),) * 5, g, grammar_params(1))
+        synthesize((("a1",),) + ((),) * 5, g)
 
 
 def test_adversarial_words_synthesize():
