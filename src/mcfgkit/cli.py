@@ -11,7 +11,7 @@ import argparse
 import random
 import sys
 from itertools import product
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .burago import InternalInvariantError, burago_partition
 from .derivation import (
@@ -31,7 +31,9 @@ from .grammar import (
 )
 from .recognize import SchemaPresentError, recognize_bounded
 from .synthesis import synthesize_word
-from .zn import alphabet, displacement, grammar_params, make_grammar, word_to_path
+from .zn import (
+    alphabet, displacement, grammar_params, make_grammar, make_token, word_to_path,
+)
 
 DEFAULT_SEED = 2026
 
@@ -62,6 +64,22 @@ def _positive_dimension(text: str) -> int:
     return n
 
 
+def _nonnegative_count(text: str) -> int:
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError("count must be >= 0")
+    return count
+
+
+def _report(args: argparse.Namespace, code: int, payload: dict, text: str) -> int:
+    """Print payload as canonical JSON under --json, else text; return code."""
+    if args.json:
+        sys.stdout.write(canonical_json(payload))
+    else:
+        print(text)
+    return code
+
+
 def _emit(args: argparse.Namespace, text: str) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -71,7 +89,7 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def _load_grammar_arg(args: argparse.Namespace) -> Grammar:
-    if getattr(args, "grammar", None):
+    if args.grammar is not None:
         with open(args.grammar, encoding="utf-8") as fh:
             return loads_grammar(fh.read())
     return make_grammar(args.n)
@@ -86,17 +104,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     word = _tokenize(args.word, alphabet(args.n))
     disp = displacement(word, args.n)
     member = not any(disp)
-    if args.json:
-        sys.stdout.write(canonical_json({
-            "n": args.n,
-            "word": list(word),
-            "displacement": list(disp),
-            "member": member,
-        }))
-    else:
-        verdict = "member" if member else "not a member"
-        print(f"{verdict}: displacement {disp}")
-    return 0 if member else 1
+    payload = {"n": args.n, "word": list(word), "displacement": list(disp), "member": member}
+    verdict = "member" if member else "not a member"
+    return _report(args, 0 if member else 1, payload, f"{verdict}: displacement {disp}")
 
 
 def _cmd_derive(args: argparse.Namespace) -> int:
@@ -104,31 +114,15 @@ def _cmd_derive(args: argparse.Namespace) -> int:
     derivation = synthesize_word(word, args.n)
     if derivation is None:
         disp = displacement(word, args.n)
-        if args.json:
-            sys.stdout.write(canonical_json({
-                "member": False,
-                "displacement": list(disp),
-            }))
-        else:
-            print(f"not a member: displacement {disp}")
-        return 1
+        return _report(args, 1, {"member": False, "displacement": list(disp)},
+                       f"not a member: displacement {disp}")
     # a synthesized derivation that fails its own checker is a defect
     check_derivation(make_grammar(args.n), derivation)
-    text = dumps_derivation(derivation)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        if args.json:
-            sys.stdout.write(canonical_json({
-                "member": True,
-                "steps": len(derivation),
-                "written": args.out,
-            }))
-        else:
-            print(f"wrote {len(derivation)} steps to {args.out}")
-    else:
-        sys.stdout.write(text)
-    return 0
+    _emit(args, dumps_derivation(derivation))
+    if not args.out:
+        return 0
+    return _report(args, 0, {"member": True, "steps": len(derivation), "written": args.out},
+                   f"wrote {len(derivation)} steps to {args.out}")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -138,39 +132,19 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     try:
         final = check_derivation(g, derivation)
     except DerivationError as exc:
-        if args.json:
-            sys.stdout.write(canonical_json({
-                "valid": False,
-                "step": exc.step,
-                "code": exc.code,
-                "message": exc.detail,
-            }))
-        else:
-            print(f"invalid: {exc}")
-        return 1
+        payload = {"valid": False, "step": exc.step, "code": exc.code, "message": exc.detail}
+        return _report(args, 1, payload, f"invalid: {exc}")
     if args.word is not None:
         word = _tokenize(args.word, g.terminals)
         if final.nt != g.start or final.components != (word,):
-            if args.json:
-                sys.stdout.write(canonical_json({
-                    "valid": False,
-                    "message": "final conclusion does not match the word",
-                }))
-            else:
-                print("invalid: final conclusion does not match the word")
-            return 1
-    if args.json:
-        sys.stdout.write(canonical_json({
-            "valid": True,
-            "steps": len(derivation),
-            "final": {
-                "nt": final.nt,
-                "components": [list(c) for c in final.components],
-            },
-        }))
-    else:
-        print(f"valid: {len(derivation)} steps ending in {final.nt}")
-    return 0
+            message = "final conclusion does not match the word"
+            return _report(args, 1, {"valid": False, "message": message}, f"invalid: {message}")
+    payload = {
+        "valid": True,
+        "steps": len(derivation),
+        "final": {"nt": final.nt, "components": [list(c) for c in final.components]},
+    }
+    return _report(args, 0, payload, f"valid: {len(derivation)} steps ending in {final.nt}")
 
 
 def _cmd_recognize(args: argparse.Namespace) -> int:
@@ -178,20 +152,13 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     word = _tokenize(args.word, g.terminals)
     accepted, witness = recognize_bounded(g, word)
     if not accepted:
-        if args.json:
-            sys.stdout.write(canonical_json({"recognized": False}))
-        else:
-            print("not recognized")
-        return 1
-    if args.json:
-        sys.stdout.write(canonical_json({
-            "recognized": True,
-            "steps": len(witness),
-            "derivation": derivation_to_json_dict(witness),
-        }))
-    else:
-        print(f"recognized: witness with {len(witness)} steps")
-    return 0
+        return _report(args, 1, {"recognized": False}, "not recognized")
+    payload = {
+        "recognized": True,
+        "steps": len(witness),
+        "derivation": derivation_to_json_dict(witness),
+    }
+    return _report(args, 0, payload, f"recognized: witness with {len(witness)} steps")
 
 
 def _cmd_burago(args: argparse.Namespace) -> int:
@@ -199,52 +166,48 @@ def _cmd_burago(args: argparse.Namespace) -> int:
     path = word_to_path(word, args.n)
     k = args.k if args.k is not None else grammar_params(args.n).k
     partition = burago_partition(path, k)
-    if args.json:
-        sys.stdout.write(canonical_json(partition.to_json_dict()))
-    else:
-        print(f"breakpoints (doubled parameters): {list(partition.breakpoints)}")
-        print(f"interval sum (doubled): {partition.sum_of_differences()}")
-        print(f"identity holds: {partition.satisfies_identity()}")
-    return 0
+    return _report(args, 0, partition.to_json_dict(), "\n".join([
+        f"breakpoints (doubled parameters): {list(partition.breakpoints)}",
+        f"interval sum (doubled): {partition.sum_of_differences()}",
+        f"identity holds: {partition.satisfies_identity()}",
+    ]))
 
 
-def _zero_displacement_sample(rng: random.Random, n: int, max_len: int) -> Word:
-    pairs = rng.randrange(max_len // 2 + 1)
-    letters: list[str] = []
-    for _ in range(pairs):
-        axis = rng.randrange(1, n + 1)
-        letters.append(f"a{axis}")
-        letters.append(f"A{axis}")
-    rng.shuffle(letters)
-    return tuple(letters)
+def _xcheck_words(args: argparse.Namespace) -> Iterator[Word]:
+    """Every word up to --max-len, or --sample words alternating unconstrained
+    and shuffled zero-displacement ones."""
+    letters = alphabet(args.n)
+    if args.sample is None:
+        for length in range(args.max_len + 1):
+            yield from product(letters, repeat=length)
+        return
+    rng = random.Random(args.seed)
+    for i in range(args.sample):
+        if i % 2 == 0:
+            length = rng.randrange(args.max_len + 1)
+            yield tuple(rng.choice(letters) for _ in range(length))
+            continue
+        pairs: list[str] = []
+        for _ in range(rng.randrange(args.max_len // 2 + 1)):
+            axis = rng.randrange(1, args.n + 1)
+            pairs += (make_token(axis, 1), make_token(axis, -1))
+        rng.shuffle(pairs)
+        yield tuple(pairs)
 
 
 def _cmd_xcheck(args: argparse.Namespace) -> int:
-    letters = alphabet(args.n)
     g = make_grammar(args.n)
-    words: list[Word]
-    if args.sample is None:
-        words = [
-            w
-            for length in range(args.max_len + 1)
-            for w in product(letters, repeat=length)
-        ]
-        mode = "exhaustive"
-    else:
-        rng = random.Random(args.seed)
-        words = []
-        for i in range(args.sample):
-            if i % 2 == 0:
-                length = rng.randrange(args.max_len + 1)
-                words.append(tuple(rng.choice(letters) for _ in range(length)))
-            else:
-                words.append(_zero_displacement_sample(rng, args.n, args.max_len))
-        mode = "sample"
-    members = 0
+    mode = "exhaustive" if args.sample is None else "sample"
+    checked = members = 0
     mismatches: list[dict] = []
-    for w in words:
+    for w in _xcheck_words(args):
+        checked += 1
         member = not any(displacement(w, args.n))
-        derivation = synthesize_word(w, args.n)
+        try:
+            derivation = synthesize_word(w, args.n)
+        except InternalInvariantError as exc:
+            mismatches.append({"word": list(w), "invariant": str(exc)})
+            continue
         if (derivation is None) == member:
             mismatches.append({
                 "word": list(w),
@@ -262,25 +225,27 @@ def _cmd_xcheck(args: argparse.Namespace) -> int:
             except DerivationError as exc:
                 mismatches.append({"word": list(w), "checker": str(exc)})
     mismatches.sort(key=lambda entry: entry["word"])
-    if args.json:
-        sys.stdout.write(canonical_json({
-            "n": args.n,
-            "max_len": args.max_len,
-            "mode": mode,
-            "seed": args.seed if mode == "sample" else None,
-            "checked": len(words),
-            "members": members,
-            "mismatches": mismatches,
-        }))
-    else:
-        print(f"checked {len(words)} words (n={args.n}, max length {args.max_len}, "
-              f"{mode}): {members} members, {len(mismatches)} mismatches")
-        for entry in mismatches:
-            print(f"  mismatch: {entry}")
-    if mismatches:
+    payload = {
+        "n": args.n,
+        "max_len": args.max_len,
+        "mode": mode,
+        "seed": args.seed if mode == "sample" else None,
+        "checked": checked,
+        "members": members,
+        "mismatches": mismatches,
+    }
+    lines = [f"checked {checked} words (n={args.n}, max length {args.max_len}, "
+             f"{mode}): {members} members, {len(mismatches)} mismatches"]
+    lines += [f"  mismatch: {entry}" for entry in mismatches]
+    code = _report(args, 2 if mismatches else 0, payload, "\n".join(lines))
+    if code:
         print("cross-check failed: derive and check disagree", file=sys.stderr)
-        return 2
-    return 0
+    return code
+
+
+_WORD = ("--word", {"required": True,
+                    "help": "space-separated tokens (unspaced runs are split greedily)"})
+_JSON = ("--json", {"action": "store_true", "help": "emit a machine-readable JSON payload"})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,62 +255,39 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_common(p: argparse.ArgumentParser, word: bool = True,
-                    json_flag: bool = True) -> None:
-        if word:
-            p.add_argument("--word", required=True,
-                           help="space-separated tokens (unspaced runs are split greedily)")
-        if json_flag:
-            p.add_argument("--json", action="store_true",
-                           help="emit a machine-readable JSON payload")
+    def command(name: str, help: str, handler, *options: tuple[str, dict],
+                grammar: bool = False) -> None:
+        """A subcommand taking --n (or, with grammar, one of --n and --grammar),
+        then the given (flag, keywords) options in order."""
+        p = sub.add_parser(name, help=help)
+        source = p.add_mutually_exclusive_group(required=True) if grammar else p
+        source.add_argument("--n", type=_positive_dimension, required=not grammar)
+        if grammar:
+            source.add_argument("--grammar", help="grammar JSON file")
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("emit-grammar", help="print the grammar for rank n as JSON")
-    p.add_argument("--n", type=_positive_dimension, required=True)
-    p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(handler=_cmd_emit_grammar)
-
-    p = sub.add_parser("check", help="membership by displacement")
-    p.add_argument("--n", type=_positive_dimension, required=True)
-    with_common(p)
-    p.set_defaults(handler=_cmd_check)
-
-    p = sub.add_parser("derive", help="synthesize a derivation for a word")
-    p.add_argument("--n", type=_positive_dimension, required=True)
-    with_common(p)
-    p.add_argument("--out", help="write the derivation to a file")
-    p.set_defaults(handler=_cmd_derive)
-
-    p = sub.add_parser("verify", help="check a derivation file")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_positive_dimension)
-    group.add_argument("--grammar", help="grammar JSON file")
-    p.add_argument("--derivation", required=True, help="derivation JSON file")
-    p.add_argument("--word", help="also require the final conclusion to match")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("recognize", help="bounded recognition (schema-free grammars)")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_positive_dimension)
-    group.add_argument("--grammar", help="grammar JSON file")
-    with_common(p)
-    p.set_defaults(handler=_cmd_recognize)
-
-    p = sub.add_parser("burago", help="breakpoints hitting half the displacement")
-    p.add_argument("--n", type=_positive_dimension, required=True)
-    with_common(p)
-    p.add_argument("--k", type=int, help="interval count (default: floor((n+1)/2))")
-    p.set_defaults(handler=_cmd_burago)
-
-    p = sub.add_parser("xcheck", help="sweep words, cross-checking derive against check")
-    p.add_argument("--n", type=_positive_dimension, required=True)
-    p.add_argument("--max-len", type=int, default=6, dest="max_len")
-    p.add_argument("--sample", type=int,
-                   help="sample this many words instead of sweeping exhaustively")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                   help=f"sampling seed (default {DEFAULT_SEED})")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(handler=_cmd_xcheck)
+    command("emit-grammar", "print the grammar for rank n as JSON", _cmd_emit_grammar,
+            ("--out", {"help": "write to a file instead of stdout"}))
+    command("check", "membership by displacement", _cmd_check, _WORD, _JSON)
+    command("derive", "synthesize a derivation for a word", _cmd_derive, _WORD, _JSON,
+            ("--out", {"help": "write the derivation to a file"}))
+    command("verify", "check a derivation file", _cmd_verify,
+            ("--derivation", {"required": True, "help": "derivation JSON file"}),
+            ("--word", {"help": "also require the final conclusion to match"}),
+            ("--json", {"action": "store_true"}), grammar=True)
+    command("recognize", "bounded recognition (schema-free grammars)", _cmd_recognize,
+            _WORD, _JSON, grammar=True)
+    command("burago", "breakpoints hitting half the displacement", _cmd_burago, _WORD, _JSON,
+            ("--k", {"type": int, "help": "interval count (default: floor((n+1)/2))"}))
+    command("xcheck", "sweep words, cross-checking derive against check", _cmd_xcheck,
+            ("--max-len", {"type": _nonnegative_count, "default": 6}),
+            ("--sample", {"type": _nonnegative_count,
+                          "help": "sample this many words instead of sweeping exhaustively"}),
+            ("--seed", {"type": int, "default": DEFAULT_SEED,
+                        "help": f"sampling seed (default {DEFAULT_SEED})"}),
+            ("--json", {"action": "store_true"}))
     return parser
 
 

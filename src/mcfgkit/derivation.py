@@ -18,6 +18,7 @@ from .grammar import (
     Word,
     _decode_json,
     _expect,
+    _is_int,
     canonical_json,
     instantiate,
     require_valid,
@@ -146,6 +147,10 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 if d.steps[p].instance() != expected:
                     raise DerivationError(i, "premise-not-derived",
                                           f"premise {p} conclusion does not match {nt} under the substitution")
+            unbound = sorted(set(subst) - {v for _, names in rule.rhs for v in names})
+            if unbound:
+                raise DerivationError(i, "template-mismatch",
+                                      f"substitution binds {unbound[0]!r}, which the rule never introduces")
             for v, value in subst.items():
                 for tok in value:
                     if tok not in terminal_set:
@@ -224,14 +229,14 @@ def derivation_from_json_dict(data: object) -> Derivation:
         schema: str | None = None
         blocking: Blocking | None = None
         if "index" in ref:
-            _expect(isinstance(ref["index"], int), f"{where}: rule index must be an integer")
+            _expect(_is_int(ref["index"]), f"{where}: rule index must be an integer")
             rule_index = ref["index"]
         elif "schema" in ref:
             _expect(isinstance(ref["schema"], str), f"{where}: schema must be a string")
             schema = ref["schema"]
             raw_blocking = ref.get("blocking")
             _expect(isinstance(raw_blocking, list)
-                    and all(isinstance(b, list) and all(isinstance(x, int) for x in b)
+                    and all(isinstance(b, list) and all(_is_int(x) for x in b)
                             for b in raw_blocking),
                     f"{where}: blocking must be a list of integer lists")
             blocking = Blocking(tuple(tuple(b) for b in raw_blocking))
@@ -250,7 +255,7 @@ def derivation_from_json_dict(data: object) -> Derivation:
                         for c in concl["components"]),
                 f"{where}: conclusion must be {{nt, components}}")
         raw_premises = entry.get("premises", [])
-        _expect(isinstance(raw_premises, list) and all(isinstance(p, int) for p in raw_premises),
+        _expect(isinstance(raw_premises, list) and all(_is_int(p) for p in raw_premises),
                 f"{where}: premises must be a list of integers")
         steps.append(RuleInstance(
             conclusion_nt=concl["nt"],

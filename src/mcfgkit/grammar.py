@@ -221,6 +221,11 @@ def _expect(cond: bool, message: str) -> None:
         raise GrammarFormatError(message)
 
 
+def _is_int(value: object) -> bool:
+    """A JSON integer; true and false are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def grammar_from_json_dict(data: object) -> Grammar:
     _expect(isinstance(data, dict), "grammar must be a JSON object")
     assert isinstance(data, dict)
@@ -232,7 +237,7 @@ def grammar_from_json_dict(data: object) -> Grammar:
     decls: list[tuple[str, int]] = []
     for entry in nts:
         _expect(isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and isinstance(entry.get("arity"), int),
+                and _is_int(entry.get("arity")),
                 "nonterminal entries must be {name, arity}")
         decls.append((entry["name"], entry["arity"]))
     start = data.get("start")
@@ -263,7 +268,7 @@ def grammar_from_json_dict(data: object) -> Grammar:
     schemas: list[CombineSchema] = []
     for entry in raw_schemas:
         _expect(isinstance(entry, dict) and isinstance(entry.get("nt"), str)
-                and isinstance(entry.get("arity"), int),
+                and _is_int(entry.get("arity")),
                 "schema entries must be {nt, arity}")
         schemas.append(CombineSchema(entry["nt"], entry["arity"]))
     return Grammar(tuple(terminals), tuple(decls), start, tuple(rules), tuple(schemas))

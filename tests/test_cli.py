@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import json
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
 from mcfgkit import (
     Derivation,
     Instance,
+    InternalInvariantError,
     RuleInstance,
     check_derivation,
     dumps_derivation,
@@ -268,6 +273,23 @@ def test_xcheck_default_seed_is_stable(capsys):
     assert json.loads(out1)["seed"] == DEFAULT_SEED
 
 
+def test_xcheck_sample_draws_pinned_words(monkeypatch, capsys):
+    # the sampler's order of rng calls fixes the words a seed draws
+    drawn = []
+
+    def recording(w, n):
+        drawn.append(" ".join(w))
+        return synthesize_word(w, n)
+
+    monkeypatch.setattr("mcfgkit.cli.synthesize_word", recording)
+    argv = ["xcheck", "--n", "2", "--sample", "6", "--max-len", "8", "--seed", "5"]
+    assert run_out(capsys, argv)[0] == 0
+    assert drawn == [
+        "a2 a1 A2 A1", "", "a1 a2", "A1 A2 a2 a1 A1 a1",
+        "a2 A1 A2 A1 a1 A1", "A1 a1 A1 a1 A1 a1 A2 a2",
+    ]
+
+
 def test_xcheck_mismatch_exits_two(monkeypatch, capsys):
     # a synthesizer that refuses one member is a defect, reported with exit 2
     monkeypatch.setattr(
@@ -282,6 +304,39 @@ def test_xcheck_mismatch_exits_two(monkeypatch, capsys):
     assert "cross-check failed" in err
 
 
+def test_xcheck_reports_invariant_failures_per_word(monkeypatch, capsys):
+    # a synthesizer that fails an internal invariant on one word; the sweep goes on
+    def flaky(w, n):
+        if w == ("a1", "A1"):
+            raise InternalInvariantError("no breakpoints", {"word": list(w)})
+        return synthesize_word(w, n)
+
+    monkeypatch.setattr("mcfgkit.cli.synthesize_word", flaky)
+    code, out, err = run_out(capsys, ["xcheck", "--n", "1", "--max-len", "4", "--json"])
+    assert code == 2
+    report = json.loads(out)
+    assert report["checked"] == 31
+    assert report["members"] == 8
+    assert report["mismatches"] == [
+        {"word": ["a1", "A1"], "invariant": "no breakpoints: {'word': ['a1', 'A1']}"}
+    ]
+    assert "cross-check failed" in err
+
+
+def test_verify_rejects_boolean_rule_index(tmp_path, capsys):
+    target = tmp_path / "d.json"
+    run(["derive", "--n", "1", "--word", "a1 A1 A1 a1", "--out", str(target)])
+    capsys.readouterr()
+    data = json.loads(target.read_text(encoding="utf-8"))
+    step = next(s for s in data["steps"] if s["rule"] == {"index": 1})
+    step["rule"]["index"] = True
+    target.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_out(capsys, ["verify", "--n", "1", "--derivation", str(target)])
+    assert code == 2
+    assert out == ""
+    assert "rule index must be an integer" in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -291,11 +346,167 @@ def test_xcheck_mismatch_exits_two(monkeypatch, capsys):
         ["derive", "--n", "1"],
         ["verify", "--derivation", "x.json"],
         ["burago", "--word", "a1"],
+        ["xcheck", "--n", "1", "--max-len", "-1"],
+        ["xcheck", "--n", "1", "--sample", "-1"],
+        ["xcheck", "--n", "1", "--sample", "3", "--max-len", "-1"],
+        ["verify", "--grammar", "", "--derivation", "x.json"],
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
+
+
+# The exact stdout, stderr and exit code of every subcommand in text and
+# --json modes. "{tmp}" stands for the test's directory, which holds d.json
+# (a derivation of "a1 A1 A1 a1" at n = 1), bad.json (the same with its final
+# conclusion tampered) and g.json (the a^j b^j c^j d^j grammar). Long texts
+# are pinned by "sha256:" digest. A fifth entry pins the digest of the file
+# written to --out.
+GOLDEN = [
+    ("emit-grammar --n 1", 0,
+     "sha256:709c4e2532b3fa1406e91aaaceddbf3da18eb3f0c63f58eb465aba6785f0e341", ""),
+    ("emit-grammar --n 1 --out {tmp}/g1.json", 0, "", "",
+     "sha256:709c4e2532b3fa1406e91aaaceddbf3da18eb3f0c63f58eb465aba6785f0e341"),
+    ("check --n 2 --word 'a1 a2 A1 A2'", 0, "member: displacement (0, 0)\n", ""),
+    ("check --n 2 --word 'a1 a2 A1 A2' --json", 0,
+     '{\n  "displacement": [\n    0,\n    0\n  ],\n  "member": true,\n  "n": 2,\n'
+     '  "word": [\n    "a1",\n    "a2",\n    "A1",\n    "A2"\n  ]\n}\n', ""),
+    ("check --n 2 --word 'a1 A2'", 1, "not a member: displacement (1, -1)\n", ""),
+    ("check --n 2 --word 'a1 A2' --json", 1,
+     '{\n  "displacement": [\n    1,\n    -1\n  ],\n  "member": false,\n  "n": 2,\n'
+     '  "word": [\n    "a1",\n    "A2"\n  ]\n}\n', ""),
+    ("check --n 1 --word 'a1 b2'", 2, "",
+     "error: cannot tokenize 'b2': no terminal matches\n"),
+    ("derive --n 1 --word 'a1 A1'", 0,
+     "sha256:f8f077ad5e6b637bb7b89a2c64ab802647d8faf7a09f4a1c188469ab08be70d5", ""),
+    ("derive --n 1 --word 'a1 A1' --json", 0,
+     "sha256:f8f077ad5e6b637bb7b89a2c64ab802647d8faf7a09f4a1c188469ab08be70d5", ""),
+    ("derive --n 1 --word a1", 1, "not a member: displacement (1,)\n", ""),
+    ("derive --n 1 --word a1 --json", 1,
+     '{\n  "displacement": [\n    1\n  ],\n  "member": false\n}\n', ""),
+    ("derive --n 2 --word 'a1 a2 A1 A2 a1 A1' --out {tmp}/out.json", 0,
+     "wrote 7 steps to {tmp}/out.json\n", "",
+     "sha256:a5d55454b26695e28a1a8f4e3144352a5b105ef8b0a5836325c39456d36212bf"),
+    ("derive --n 2 --word 'a1 a2 A1 A2 a1 A1' --out {tmp}/out.json --json", 0,
+     '{\n  "member": true,\n  "steps": 7,\n  "written": "{tmp}/out.json"\n}\n', "",
+     "sha256:a5d55454b26695e28a1a8f4e3144352a5b105ef8b0a5836325c39456d36212bf"),
+    ("verify --n 1 --derivation {tmp}/d.json", 0, "valid: 5 steps ending in S\n", ""),
+    ("verify --n 1 --derivation {tmp}/d.json --json", 0,
+     '{\n  "final": {\n    "components": [\n      [\n        "a1",\n        "A1",\n'
+     '        "A1",\n        "a1"\n      ]\n    ],\n    "nt": "S"\n  },\n'
+     '  "steps": 5,\n  "valid": true\n}\n', ""),
+    ("verify --n 1 --derivation {tmp}/d.json --word 'a1 A1 A1 a1'", 0,
+     "valid: 5 steps ending in S\n", ""),
+    ("verify --n 1 --derivation {tmp}/d.json --word 'a1 A1 A1 a1' --json", 0,
+     '{\n  "final": {\n    "components": [\n      [\n        "a1",\n        "A1",\n'
+     '        "A1",\n        "a1"\n      ]\n    ],\n    "nt": "S"\n  },\n'
+     '  "steps": 5,\n  "valid": true\n}\n', ""),
+    ("verify --n 1 --derivation {tmp}/d.json --word 'A1 a1'", 1,
+     "invalid: final conclusion does not match the word\n", ""),
+    ("verify --n 1 --derivation {tmp}/d.json --word 'A1 a1' --json", 1,
+     '{\n  "message": "final conclusion does not match the word",\n  "valid": false\n}\n',
+     ""),
+    ("verify --n 1 --derivation {tmp}/bad.json", 1,
+     "invalid: step 4: template-mismatch: conclusion does not equal the instantiated "
+     "templates\n", ""),
+    ("verify --n 1 --derivation {tmp}/bad.json --json", 1,
+     '{\n  "code": "template-mismatch",\n  "message": "conclusion does not equal the '
+     'instantiated templates",\n  "step": 4,\n  "valid": false\n}\n', ""),
+    ("verify --grammar {tmp}/g.json --derivation {tmp}/d.json", 1,
+     "invalid: step 0: premise-not-derived: rule 2 needs 1 premises, got 0\n", ""),
+    ("verify --n 1 --derivation {tmp}/missing.json", 2, "",
+     "error: [Errno 2] No such file or directory: '{tmp}/missing.json'\n"),
+    ("recognize --grammar {tmp}/g.json --word aabbccdd", 0,
+     "recognized: witness with 4 steps\n", ""),
+    ("recognize --grammar {tmp}/g.json --word abcd --json", 0,
+     "sha256:c59cda913091f576a4b7037321d77de77aa00a72dea493a8f68c32f823ad5cc8", ""),
+    ("recognize --grammar {tmp}/g.json --word aabbcc", 1, "not recognized\n", ""),
+    ("recognize --grammar {tmp}/g.json --word aabbcc --json", 1,
+     '{\n  "recognized": false\n}\n', ""),
+    ("recognize --n 1 --word 'a1 A1'", 2, "",
+     "error: recognition requires a schema-free grammar; expand or avoid schemas\n"),
+    ("burago --n 2 --word 'a1 a1 a2 A1 A1'", 0,
+     "breakpoints (doubled parameters): [4, 5]\ninterval sum (doubled): (0, 1)\n"
+     "identity holds: True\n", ""),
+    ("burago --n 2 --word 'a1 a1 a2 A1 A1' --json", 0,
+     '{\n  "breakpoints": [\n    4,\n    5\n  ],\n  "doubled": true\n}\n', ""),
+    ("burago --n 1 --word 'a1 a1' --k 2", 0,
+     "breakpoints (doubled parameters): [0, 0, 0, 2]\ninterval sum (doubled): (2,)\n"
+     "identity holds: True\n", ""),
+    ("xcheck --n 1 --max-len 4", 0,
+     "checked 31 words (n=1, max length 4, exhaustive): 9 members, 0 mismatches\n", ""),
+    ("xcheck --n 1 --max-len 4 --json", 0,
+     '{\n  "checked": 31,\n  "max_len": 4,\n  "members": 9,\n  "mismatches": [],\n'
+     '  "mode": "exhaustive",\n  "n": 1,\n  "seed": null\n}\n', ""),
+    ("xcheck --n 2 --sample 12 --max-len 10 --seed 7", 0,
+     "checked 12 words (n=2, max length 10, sample): 8 members, 0 mismatches\n", ""),
+    ("xcheck --n 2 --sample 12 --max-len 10 --seed 7 --json", 0,
+     '{\n  "checked": 12,\n  "max_len": 10,\n  "members": 8,\n  "mismatches": [],\n'
+     '  "mode": "sample",\n  "n": 2,\n  "seed": 7\n}\n', ""),
+    # usage errors print each subcommand's usage line, which pins option order
+    ("emit-grammar", 2, "",
+     "usage: mcfgkit emit-grammar [-h] --n N [--out OUT]\n"
+     "mcfgkit emit-grammar: error: the following arguments are required: --n\n"),
+    ("check --n 0 --word a1", 2, "",
+     "usage: mcfgkit check [-h] --n N --word WORD [--json]\n"
+     "mcfgkit check: error: argument --n: dimension must be >= 1\n"),
+    ("derive --n 1", 2, "",
+     "usage: mcfgkit derive [-h] --n N --word WORD [--json] [--out OUT]\n"
+     "mcfgkit derive: error: the following arguments are required: --word\n"),
+    ("verify --derivation x.json", 2, "",
+     "usage: mcfgkit verify [-h] (--n N | --grammar GRAMMAR) --derivation DERIVATION\n"
+     "                      [--word WORD] [--json]\n"
+     "mcfgkit verify: error: one of the arguments --n --grammar is required\n"),
+    ("recognize --word x", 2, "",
+     "usage: mcfgkit recognize [-h] (--n N | --grammar GRAMMAR) --word WORD [--json]\n"
+     "mcfgkit recognize: error: one of the arguments --n --grammar is required\n"),
+    ("burago --word a1", 2, "",
+     "usage: mcfgkit burago [-h] --n N --word WORD [--json] [--k K]\n"
+     "mcfgkit burago: error: the following arguments are required: --n\n"),
+    ("xcheck", 2, "",
+     "usage: mcfgkit xcheck [-h] --n N [--max-len MAX_LEN] [--sample SAMPLE]\n"
+     "                      [--seed SEED] [--json]\n"
+     "mcfgkit xcheck: error: the following arguments are required: --n\n"),
+]
+
+
+def _pinned(text, expected):
+    if expected.startswith("sha256:"):
+        return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return text
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case[0] for case in GOLDEN])
+def test_golden_output(tmp_path, monkeypatch, capsys, case):
+    argv, code, out, err, *written = case
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    tmp = str(tmp_path)
+    d = synthesize_word(("a1", "A1", "A1", "a1"), 1)
+    (tmp_path / "d.json").write_text(dumps_derivation(d), encoding="utf-8")
+    data = json.loads(dumps_derivation(d))
+    data["steps"][-1]["conclusion"]["components"][0] = ["a1", "a1", "A1", "A1"]
+    (tmp_path / "bad.json").write_text(json.dumps(data), encoding="utf-8")
+    (tmp_path / "g.json").write_text(dumps_grammar(make_abcd_grammar()), encoding="utf-8")
+
+    args = [a.replace("{tmp}", tmp) for a in shlex.split(argv)]
+    got_code, got_out, got_err = run_out(capsys, args)
+    assert got_code == code
+    assert _pinned(got_out, out) == out.replace("{tmp}", tmp)
+    assert _pinned(got_err, err) == err.replace("{tmp}", tmp)
+    if written:
+        target = args[args.index("--out") + 1]
+        with open(target, encoding="utf-8") as fh:
+            assert _pinned(fh.read(), written[0]) == written[0]
+
+
+def test_bench_tracer_sites_resolve(monkeypatch):
+    # bench/tracing.py wraps these module globals; each must stay a callable
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    tracing = importlib.import_module("tracing")
+    assert tracing.SITES
+    for module_name, attr, _ in tracing.SITES:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
 
 
 def test_help_exits_zero(capsys):

@@ -125,9 +125,25 @@ def test_checker_rejects_missing_substitution_variable(abcd_grammar):
 
 
 def test_checker_rejects_foreign_symbol_in_substitution(abcd_grammar):
-    # rule 0 has no variables, so only the foreign-token scan can object
+    # rule 0 introduces no variables, so binding "x" at all is refused
     steps = (RuleInstance.concrete(0, {"x": ("z",)}, "I", ((), ())),)
     expect_code(abcd_grammar, steps, "template-mismatch", 0)
+
+
+def test_checker_rejects_unbound_substitution_variable(abcd_grammar):
+    good = abcd_steps()
+    extra = RuleInstance.concrete(
+        2, {**good[2].subst_dict, "zz": ()}, "S", good[2].conclusion, (1,)
+    )
+    expect_code(abcd_grammar, good[:2] + (extra,), "template-mismatch", 2)
+    # the start step of a synthesized derivation, with one binding too many
+    d = synthesize_word(("a1", "A1"), 1)
+    start = d.steps[-1]
+    extra = RuleInstance.concrete(
+        start.rule_index, {**start.subst_dict, "zz": ()},
+        start.conclusion_nt, start.conclusion, start.premises,
+    )
+    expect_code(make_grammar(1), d.steps[:-1] + (extra,), "template-mismatch", len(d) - 1)
 
 
 def test_checker_rejects_wrong_conclusion(abcd_grammar):
@@ -241,6 +257,14 @@ def test_loads_derivation_rejects_invalid_json():
         {"steps": [{"rule": {"index": 0},
                     "conclusion": {"nt": "I", "components": []},
                     "premises": ["0"]}]},
+        # JSON booleans are not integers
+        {"steps": [{"rule": {"index": True},
+                    "conclusion": {"nt": "I", "components": []}}]},
+        {"steps": [{"rule": {"schema": "I", "blocking": [[1], [True]]},
+                    "conclusion": {"nt": "I", "components": []}}]},
+        {"steps": [{"rule": {"index": 0},
+                    "conclusion": {"nt": "I", "components": []},
+                    "premises": [True]}]},
     ],
 )
 def test_malformed_derivation_json_is_rejected(data):

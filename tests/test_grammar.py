@@ -202,8 +202,13 @@ def test_loads_grammar_rejects_invalid_json():
             "rules": [{"lhs": {"nt": "S", "templates": [[{"frob": "a"}]]}}],
         },
         {"terminals": [], "nonterminals": [], "start": "S", "rules": [], "schemas": [{"nt": "I"}]},
+        # JSON booleans are not integers
+        {"terminals": [], "nonterminals": [{"name": "S", "arity": True}], "start": "S",
+         "rules": []},
+        {"terminals": [], "nonterminals": [], "start": "S", "rules": [],
+         "schemas": [{"nt": "I", "arity": True}]},
     ],
 )
 def test_malformed_grammar_json_is_rejected(data):
     with pytest.raises(GrammarFormatError):
-        grammar_from_json_dict(data)
+        loads_grammar(canonical_json(data))

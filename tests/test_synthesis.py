@@ -242,16 +242,34 @@ def test_synthesize_validation():
         synthesize((("a1",),) + ((),) * 5, g)
 
 
-def test_adversarial_words_synthesize():
+def test_adversarial_words_synthesize(monkeypatch):
+    def rising(n: int, r: int) -> Word:
+        # (a1 ... an)^r (An ... A1)^r, long enough to reach the split
+        return (tuple(f"a{i}" for i in range(1, n + 1)) * r
+                + tuple(f"A{i}" for i in range(n, 0, -1)) * r)
+
     cases = (
         (("a1",) * 12 + ("A1",) * 12, 1),
         (("a1", "A1") * 10, 1),
         (parse_word("a1 a2 a3 A3 A2 A1") * 3, 3),
+        (rising(4, 4), 4),
+        (rising(5, 5), 5),
+        (rising(6, 4), 6),
     )
+    split_ks: list[int] = []
+
+    def counting_split(x, n, k):
+        split_ks.append(k)
+        return refine_and_split(x, n, k)
+
+    monkeypatch.setattr("mcfgkit.synthesis.refine_and_split", counting_split)
     for word, n in cases:
         g = make_grammar(n)
+        split_ks.clear()
         d = synthesize_word(word, n)
         assert check_derivation(g, d) == Instance("S", (word,))
+        if n >= 4:
+            assert split_ks and set(split_ks) == {grammar_params(n).k}
 
 
 def test_synthesis_is_deterministic():
