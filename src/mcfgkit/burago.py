@@ -3,7 +3,9 @@
 Given a path and k, the search looks for parameters t1 <= s1 <= ... <=
 tk <= sk (half-unit grid, doubled coordinates) with
 
-    sum_i (point(s_i) - point(t_i)) = (point(end) - point(start)) / 2.
+    sum_i (points[s_i] - points[t_i]) = points[-1] / 2,
+
+where points[-1] is the doubled displacement (paths start at the origin).
 
 For k = floor((n+1)/2) such breakpoints always exist; the search is
 exhaustive, so failure would falsify the construction rather than the
@@ -13,9 +15,8 @@ input, and raises InternalInvariantError with a diagnostic payload.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
-from .zn import LatticePath, Vec, l1, vsub
+from .zn import LatticePath, Vec, l1, vadd, vsub
 
 
 class InternalInvariantError(RuntimeError):
@@ -41,24 +42,20 @@ class SegmentPartition:
             )
         if any(b > a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
             raise ValueError(f"breakpoints not ordered: {self.breakpoints}")
-
-    @cached_property
-    def intervals(self) -> tuple[tuple[int, int], ...]:
-        bp = self.breakpoints
-        return tuple((bp[2 * i], bp[2 * i + 1]) for i in range(self.k))
+        end = 2 * len(self.path)
+        if any(not 0 <= b <= end for b in self.breakpoints):
+            raise ValueError(f"breakpoints outside 0..{end}: {self.breakpoints}")
 
     def sum_of_differences(self) -> Vec:
+        pts, bp = self.path.points, self.breakpoints
         total = (0,) * self.path.n
-        for t, s in self.intervals:
-            total = tuple(
-                a + b for a, b in zip(total, vsub(self.path.point(s), self.path.point(t)))
-            )
+        for t, s in zip(bp[::2], bp[1::2]):
+            total = vadd(total, vsub(pts[s], pts[t]))
         return total
 
     def satisfies_identity(self) -> bool:
-        """2 * sum of interval differences equals end minus start, exactly."""
-        whole = vsub(self.path.point(2 * len(self.path)), self.path.point(0))
-        return tuple(2 * c for c in self.sum_of_differences()) == whole
+        """2 * sum of interval differences equals the path's displacement, exactly."""
+        return tuple(2 * c for c in self.sum_of_differences()) == self.path.points[-1]
 
     def to_json_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "doubled": True}
@@ -76,10 +73,10 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    end = 2 * len(path)
-    whole = vsub(path.point(end), path.point(0))
-    # lattice endpoints have even coordinates, so the halving is exact
-    target = tuple(c // 2 for c in whole)
+    pts = path.points
+    end = len(pts) - 1
+    # the lattice endpoint has even coordinates, so the halving is exact
+    target = tuple(c // 2 for c in pts[-1])
     dead: set[tuple[int, int, Vec]] = set()
     chosen: list[int] = []
 
@@ -92,12 +89,12 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
         if state in dead:
             return False
         for t in range(lo, end + 1):
-            pt = path.point(t)
+            # remaining - (pts[s] - pts[t]), with the sum hoisted out of the s loop
+            shifted = vadd(remaining, pts[t])
             for s in range(t, end + 1):
-                diff = vsub(path.point(s), pt)
                 chosen.append(t)
                 chosen.append(s)
-                if search(pair + 1, s, vsub(remaining, diff)):
+                if search(pair + 1, s, vsub(shifted, pts[s])):
                     return True
                 chosen.pop()
                 chosen.pop()
@@ -109,7 +106,6 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
             "no breakpoint tuple reaches half the displacement",
             {
                 "n": path.n,
-                "start": path.start,
                 "steps": path.steps,
                 "k": k,
                 "target_doubled": target,

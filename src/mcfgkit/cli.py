@@ -57,18 +57,22 @@ def _tokenize(text: str, terminals: Sequence[str]) -> Word:
     return tuple(tokens)
 
 
+def _int_at_least(text: str, low: int, what: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < low:
+        raise argparse.ArgumentTypeError(f"{what} must be >= {low}")
+    return value
+
+
 def _positive_dimension(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError("dimension must be >= 1")
-    return n
+    return _int_at_least(text, 1, "dimension")
 
 
 def _nonnegative_count(text: str) -> int:
-    count = int(text)
-    if count < 0:
-        raise argparse.ArgumentTypeError("count must be >= 0")
-    return count
+    return _int_at_least(text, 0, "count")
 
 
 def _report(args: argparse.Namespace, code: int, payload: dict, text: str) -> int:
@@ -309,3 +313,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 def main() -> None:
     raise SystemExit(run())
+
+
+if __name__ == "__main__":
+    main()

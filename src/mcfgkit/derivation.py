@@ -117,7 +117,6 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
     """
     require_valid(g)
     schema_arity = {s.nonterminal: s.arity for s in g.schemas}
-    terminal_set = set(g.terminals)
     if not d.steps:
         raise DerivationError(0, "empty-derivation", "derivation has no steps")
 
@@ -151,16 +150,9 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
             if unbound:
                 raise DerivationError(i, "template-mismatch",
                                       f"substitution binds {unbound[0]!r}, which the rule never introduces")
-            for v, value in subst.items():
-                for tok in value:
-                    if tok not in terminal_set:
-                        raise DerivationError(i, "template-mismatch",
-                                              f"substitution for {v!r} uses foreign symbol {tok!r}")
-            try:
-                comps = tuple(instantiate(t, subst) for t in rule.templates)
-            except KeyError as exc:
-                raise DerivationError(i, "template-mismatch",
-                                      f"substitution missing variable {exc.args[0]!r}") from exc
+            # template variables are introduced (require_valid) and bound (above) to
+            # premise components, which by induction hold only terminals
+            comps = tuple(instantiate(t, subst) for t in rule.templates)
             if step.conclusion_nt != rule.lhs or step.conclusion != comps:
                 raise DerivationError(i, "template-mismatch",
                                       "conclusion does not equal the instantiated templates")

@@ -101,7 +101,7 @@ class HalfSplit:
 
     def part_diff(self, p: int) -> Vec:
         lo, hi = self.part_span(p)
-        return vsub(self.path.point(hi), self.path.point(lo))
+        return vsub(self.path.points[hi], self.path.points[lo])
 
     def part_word(self, p: int) -> Word:
         lo, hi = self.part_span(p)

@@ -5,6 +5,8 @@ All path coordinates are stored doubled so that edge midpoints are exact
 integers: a unit step changes one coordinate by 2 and a path of L edges is
 parameterized by half-units p = 0..2L. Lattice points sit at even p (all
 coordinates even) and edge midpoints at odd p (exactly one odd coordinate).
+Every path starts at the origin and is read through its `points` (indexed
+by p, so `points[-1]` is the doubled displacement) and its `steps`.
 """
 
 from __future__ import annotations
@@ -55,13 +57,21 @@ def alphabet(n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
-def displacement(word: Word, n: int) -> Vec:
-    """Net movement of a word as an n-vector of unit steps."""
-    disp = [0] * n
+def _decode(word: Word, n: int) -> tuple[tuple[int, int], ...]:
+    """The (axis, sign) of every token, rejecting axes beyond n."""
+    steps = []
     for token in word:
         axis, sign = token_step(token)
         if axis > n:
             raise ValueError(f"token {token!r}: axis {axis} out of range for n={n}")
+        steps.append((axis, sign))
+    return tuple(steps)
+
+
+def displacement(word: Word, n: int) -> Vec:
+    """Net movement of a word as an n-vector of unit steps."""
+    disp = [0] * n
+    for axis, sign in _decode(word, n):
         disp[axis - 1] += sign
     return tuple(disp)
 
@@ -80,17 +90,12 @@ def l1(v: Vec) -> int:
 
 @dataclass(frozen=True)
 class LatticePath:
-    """A path of unit steps on the n-dimensional integer lattice, doubled coordinates."""
+    """A path of unit steps from the origin of the n-dimensional lattice, doubled coordinates."""
 
     n: int
-    start: Vec
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if len(self.start) != self.n:
-            raise ValueError(f"start has {len(self.start)} coordinates, expected {self.n}")
-        if any(c % 2 != 0 for c in self.start):
-            raise ValueError("start must be a lattice point: all doubled coordinates even")
         for axis, sign in self.steps:
             if not 1 <= axis <= self.n or sign not in (1, -1):
                 raise ValueError(f"bad step: axis={axis}, sign={sign}")
@@ -102,18 +107,13 @@ class LatticePath:
     @cached_property
     def points(self) -> tuple[Vec, ...]:
         """Doubled coordinates at every half-unit parameter 0..2L."""
-        pts = [self.start]
-        cur = list(self.start)
+        cur = [0] * self.n
+        pts = [tuple(cur)]
         for axis, sign in self.steps:
             for _ in range(2):
                 cur[axis - 1] += sign
                 pts.append(tuple(cur))
         return tuple(pts)
-
-    def point(self, p: int) -> Vec:
-        if not 0 <= p <= 2 * len(self.steps):
-            raise ValueError(f"parameter {p} out of range 0..{2 * len(self.steps)}")
-        return self.points[p]
 
     def step_at(self, p: int) -> tuple[int, int]:
         """The (axis, sign) of the edge whose interior contains odd parameter p."""
@@ -121,21 +121,10 @@ class LatticePath:
             raise ValueError(f"parameter {p} is a lattice point, not an edge interior")
         return self.steps[p // 2]
 
-    def total_doubled(self) -> Vec:
-        return vsub(self.points[-1], self.points[0])
 
-
-def word_to_path(word: Word, n: int, start: Vec | None = None) -> LatticePath:
-    """Trace a word as a lattice path; start is given in doubled coordinates."""
-    if start is None:
-        start = (0,) * n
-    steps = []
-    for token in word:
-        axis, sign = token_step(token)
-        if axis > n:
-            raise ValueError(f"token {token!r}: axis {axis} out of range for n={n}")
-        steps.append((axis, sign))
-    return LatticePath(n, tuple(start), tuple(steps))
+def word_to_path(word: Word, n: int) -> LatticePath:
+    """Trace a word as a lattice path from the origin."""
+    return LatticePath(n, _decode(word, n))
 
 
 class GrammarParams(NamedTuple):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings
 
-from mcfgkit import Grammar, Rule, dumps_grammar, term, var
+from mcfgkit import Grammar, Rule, dumps_grammar, refine_and_split, term, var
 
 settings.register_profile("suite", max_examples=60, derandomize=True, deadline=None)
 settings.load_profile("suite")
@@ -33,6 +33,19 @@ def make_abcd_grammar() -> Grammar:
 @pytest.fixture
 def abcd_grammar() -> Grammar:
     return make_abcd_grammar()
+
+
+@pytest.fixture
+def split_ks(monkeypatch) -> list[int]:
+    """Records the k of every refine_and_split call the synthesizer makes."""
+    seen: list[int] = []
+
+    def counting_split(x, n, k):
+        seen.append(k)
+        return refine_and_split(x, n, k)
+
+    monkeypatch.setattr("mcfgkit.synthesis.refine_and_split", counting_split)
+    return seen
 
 
 @pytest.fixture

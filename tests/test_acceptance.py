@@ -15,6 +15,7 @@ from itertools import product
 from mcfgkit import (
     Instance,
     InternalInvariantError,
+    alphabet,
     bounded_language,
     burago_partition,
     check_derivation,
@@ -36,8 +37,11 @@ from conftest import make_abcd_grammar
 from wordgen import (
     abcd_oracle,
     all_words,
+    block_word,
     random_word,
     random_zero_displacement_word,
+    shuffled_pairs,
+    walk_and_return,
 )
 
 
@@ -121,6 +125,66 @@ def test_random_zero_displacement_derivations():
         "random zero-displacement derivations",
         ok,
         f"{checked} words across ranks 1-3, {elapsed:.1f}s",
+    ), problems
+
+
+def test_word_families_reach_the_split_at_ranks_three_to_six(split_ks):
+    """Shuffled pairs, walk-and-return and block words of total length
+    m+2 ... m+8 at ranks 3-6 derive through the split with the rank's k."""
+    t0 = time.monotonic()
+    problems: list[str] = []
+    checked = 0
+    rng = random.Random(5150)
+    for n in range(3, 7):
+        k, m = grammar_params(n)
+        g = make_grammar(n)
+        per_length = 10 if k < 3 else 2  # the k = 3 search takes ~50 ms a word
+        lengths = [L for L in range(m + 2, m + 9, 2) for _ in range(per_length)]
+        families = {
+            "shuffled pairs": [shuffled_pairs(rng, n, L) for L in lengths],
+            "walk and return": [walk_and_return(rng, n, L) for L in lengths],
+            # the least r with 2nr > m
+            "block": [block_word(n, m // (2 * n) + 1)],
+        }
+        for family, words in families.items():
+            split_ks.clear()
+            for w in words:
+                if not m + 2 <= len(w) <= m + 8:
+                    problems.append(f"n={n} {family}: length {len(w)} outside m+2..m+8")
+                elif check_derivation(g, synthesize_word(w, n)) != Instance("S", (w,)):
+                    problems.append(f"n={n} {family} {w}: wrong final conclusion")
+                else:
+                    checked += 1
+            if set(split_ks) != {k}:
+                problems.append(f"n={n} {family}: split ran with k in {sorted(set(split_ks))}")
+    elapsed = time.monotonic() - t0
+    ok = not problems and checked == 196  # 2 x (40 + 40 + 8 + 8) + 4 block words
+    assert report(
+        "word families reach the split at ranks 3-6",
+        ok,
+        f"{checked} words, {elapsed:.1f}s",
+    ), problems
+
+
+def test_every_rank_two_member_of_length_eight(split_ks):
+    """All 4,900 members of length 8 at n = 2, past m = 6, derive and check."""
+    t0 = time.monotonic()
+    g = make_grammar(2)
+    problems: list[str] = []
+    members = 0
+    for w in product(alphabet(2), repeat=8):
+        if any(displacement(w, 2)):
+            continue
+        members += 1
+        if check_derivation(g, synthesize_word(w, 2)) != Instance("S", (w,)):
+            problems.append(f"{w}: wrong final conclusion")
+            break
+    elapsed = time.monotonic() - t0
+    ok = not problems and members == 4900 and set(split_ks) == {1}
+    assert report(
+        "every rank-2 member of length 8",
+        ok,
+        f"{members} members, split k {sorted(set(split_ks))}, {elapsed:.1f}s",
     ), problems
 
 

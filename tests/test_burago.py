@@ -40,10 +40,10 @@ def test_partition_identity_and_shape():
     path = word_to_path(("a1", "a1", "a2", "A1", "A1"), 2)
     part = burago_partition(path, 1)
     assert part.k == 1
-    assert part.intervals == ((4, 5),)
+    assert part.breakpoints == (4, 5)
     assert part.sum_of_differences() == (0, 1)
     assert part.satisfies_identity()
-    assert path.total_doubled() == (0, 2)
+    assert path.points[-1] == (0, 2)
 
 
 def test_json_shape():
@@ -57,6 +57,10 @@ def test_partition_validation():
         SegmentPartition(path, 1, (0, 1, 2))  # wrong count
     with pytest.raises(ValueError):
         SegmentPartition(path, 1, (2, 0))  # out of order
+    with pytest.raises(ValueError):
+        SegmentPartition(path, 1, (-1, 2))  # before the path's start
+    with pytest.raises(ValueError):
+        SegmentPartition(path, 1, (0, 2 * len(path) + 1))  # past the path's end
     with pytest.raises(ValueError):
         burago_partition(path, 0)
 
@@ -97,4 +101,4 @@ def test_identity_on_random_paths(n, seed):
     )
     assert part.satisfies_identity()
     doubled_sum = vadd(part.sum_of_differences(), part.sum_of_differences())
-    assert doubled_sum == path.total_doubled()
+    assert doubled_sum == path.points[-1]

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -451,6 +453,9 @@ GOLDEN = [
     ("check --n 0 --word a1", 2, "",
      "usage: mcfgkit check [-h] --n N --word WORD [--json]\n"
      "mcfgkit check: error: argument --n: dimension must be >= 1\n"),
+    ("check --n x --word a1", 2, "",
+     "usage: mcfgkit check [-h] --n N --word WORD [--json]\n"
+     "mcfgkit check: error: argument --n: invalid int value: 'x'\n"),
     ("derive --n 1", 2, "",
      "usage: mcfgkit derive [-h] --n N --word WORD [--json] [--out OUT]\n"
      "mcfgkit derive: error: the following arguments are required: --word\n"),
@@ -468,6 +473,10 @@ GOLDEN = [
      "usage: mcfgkit xcheck [-h] --n N [--max-len MAX_LEN] [--sample SAMPLE]\n"
      "                      [--seed SEED] [--json]\n"
      "mcfgkit xcheck: error: the following arguments are required: --n\n"),
+    ("xcheck --n 1 --max-len x", 2, "",
+     "usage: mcfgkit xcheck [-h] --n N [--max-len MAX_LEN] [--sample SAMPLE]\n"
+     "                      [--seed SEED] [--json]\n"
+     "mcfgkit xcheck: error: argument --max-len: invalid int value: 'x'\n"),
 ]
 
 
@@ -520,3 +529,16 @@ def test_main_raises_system_exit(monkeypatch, capsys):
         main()
     assert info.value.code == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code, out", [
+    (["check", "--n", "1", "--word", "a1 A1"], 0, "member: displacement (0,)\n"),
+    (["derive", "--n", "1", "--word", "a1"], 1, "not a member: displacement (1,)\n"),
+])
+def test_python_m_runs_the_cli(argv, code, out):
+    # without the entry point installed, `python3 -m mcfgkit.cli` must still run
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run([sys.executable, "-m", "mcfgkit.cli", *argv], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, out)

@@ -125,7 +125,8 @@ def test_checker_rejects_missing_substitution_variable(abcd_grammar):
 
 
 def test_checker_rejects_foreign_symbol_in_substitution(abcd_grammar):
-    # rule 0 introduces no variables, so binding "x" at all is refused
+    # rule 0 introduces no variables, so binding "x" at all is refused,
+    # whatever symbols its value holds
     steps = (RuleInstance.concrete(0, {"x": ("z",)}, "I", ((), ())),)
     expect_code(abcd_grammar, steps, "template-mismatch", 0)
 

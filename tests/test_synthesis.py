@@ -242,7 +242,7 @@ def test_synthesize_validation():
         synthesize((("a1",),) + ((),) * 5, g)
 
 
-def test_adversarial_words_synthesize(monkeypatch):
+def test_adversarial_words_synthesize(split_ks):
     def rising(n: int, r: int) -> Word:
         # (a1 ... an)^r (An ... A1)^r, long enough to reach the split
         return (tuple(f"a{i}" for i in range(1, n + 1)) * r
@@ -256,13 +256,6 @@ def test_adversarial_words_synthesize(monkeypatch):
         (rising(5, 5), 5),
         (rising(6, 4), 6),
     )
-    split_ks: list[int] = []
-
-    def counting_split(x, n, k):
-        split_ks.append(k)
-        return refine_and_split(x, n, k)
-
-    monkeypatch.setattr("mcfgkit.synthesis.refine_and_split", counting_split)
     for word, n in cases:
         g = make_grammar(n)
         split_ks.clear()

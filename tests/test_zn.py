@@ -83,8 +83,7 @@ def test_path_points_are_doubled_half_units():
     assert path.points == (
         (0, 0), (1, 0), (2, 0), (2, -1), (2, -2), (2, -1), (2, 0),
     )
-    assert path.point(0) == (0, 0)
-    assert path.total_doubled() == (2, 0)
+    assert path.points[-1] == (2, 0)
     assert path.step_at(1) == (1, 1)
     assert path.step_at(3) == (2, -1)
 
@@ -92,20 +91,14 @@ def test_path_points_are_doubled_half_units():
 def test_path_parameter_validation():
     path = word_to_path(("a1",), 1)
     with pytest.raises(ValueError):
-        path.point(3)
-    with pytest.raises(ValueError):
-        path.point(-1)
-    with pytest.raises(ValueError):
         path.step_at(0)
 
 
 def test_path_construction_validation():
     with pytest.raises(ValueError):
-        LatticePath(2, (0,), ())  # wrong start width
+        LatticePath(1, ((2, 1),))  # axis out of range
     with pytest.raises(ValueError):
-        LatticePath(1, (1,), ())  # start off the lattice
-    with pytest.raises(ValueError):
-        LatticePath(1, (0,), ((2, 1),))  # axis out of range
+        LatticePath(1, ((1, 0),))  # no sign
     with pytest.raises(ValueError):
         word_to_path(("a2",), 1)
 
@@ -119,12 +112,7 @@ def test_path_parity_invariants(word):
             assert sum(odd) == 0  # lattice point
         else:
             assert sum(odd) == 1  # edge midpoint
-    assert path.total_doubled() == tuple(2 * c for c in displacement(word, 2))
-
-
-def test_word_to_path_custom_start():
-    path = word_to_path(("A1",), 1, start=(4,))
-    assert path.points == ((4,), (3,), (2,))
+    assert path.points[-1] == tuple(2 * c for c in displacement(word, 2))
 
 
 def test_grammar_params_values():

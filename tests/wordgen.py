@@ -24,16 +24,34 @@ def random_word(rng: random.Random, n: int, max_len: int) -> Word:
     return tuple(rng.choice(letters) for _ in range(length))
 
 
-def random_zero_displacement_word(rng: random.Random, n: int, max_len: int) -> Word:
-    """A shuffled interleaving of inverse pairs; always displaces to zero."""
+def shuffled_pairs(rng: random.Random, n: int, length: int) -> Word:
+    """length // 2 inverse pairs on random axes, shuffled; displaces to zero."""
     tokens: list[str] = []
-    for _ in range(rng.randrange(max_len // 2 + 1)):
+    for _ in range(length // 2):
         axis = rng.randrange(1, n + 1)
         sign = rng.choice((1, -1))
         tokens.append(make_token(axis, sign))
         tokens.append(make_token(axis, -sign))
     rng.shuffle(tokens)
     return tuple(tokens)
+
+
+def random_zero_displacement_word(rng: random.Random, n: int, max_len: int) -> Word:
+    """Shuffled inverse pairs of a random even length up to max_len."""
+    return shuffled_pairs(rng, n, 2 * rng.randrange(max_len // 2 + 1))
+
+
+def walk_and_return(rng: random.Random, n: int, length: int) -> Word:
+    """A random walk of length // 2 steps, then the same walk undone backwards."""
+    steps = [(rng.randrange(1, n + 1), rng.choice((1, -1))) for _ in range(length // 2)]
+    back = [(axis, -sign) for axis, sign in reversed(steps)]
+    return tuple(make_token(axis, sign) for axis, sign in steps + back)
+
+
+def block_word(n: int, r: int) -> Word:
+    """a1^r ... an^r A1^r ... An^r."""
+    return tuple(make_token(axis, sign) for sign in (1, -1)
+                 for axis in range(1, n + 1) for _ in range(r))
 
 
 def zero_displacement_words(n: int, min_pairs: int = 0, max_pairs: int = 7):
