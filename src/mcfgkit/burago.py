@@ -10,10 +10,17 @@ where points[-1] is the doubled displacement (paths start at the origin).
 For k = floor((n+1)/2) such breakpoints always exist; the search is
 exhaustive, so failure would falsify the construction rather than the
 input, and raises InternalInvariantError with a diagnostic payload.
+
+The search is meet-in-the-middle (Horowitz & Sahni, JACM 1974): a point
+index answers the last interval and a latest-start table the one before
+it, so it costs O(L log L) for k = 1 (n = 1, 2) and O(L^2) for k = 2
+(n = 3, 4); each further interval (k >= 3, n = 5, 6) is an ordered,
+pruned and memoised loop over O(L^2) candidates. See burago_partition.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .zn import LatticePath, Vec, l1, vadd, vsub
@@ -64,12 +71,24 @@ class SegmentPartition:
 def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     """Lexicographically smallest breakpoint tuple hitting half the displacement.
 
-    Depth-first search over ordered breakpoints, pruned by an l1 budget
-    (consecutive grid points differ by exactly 1 in l1, so the remaining
-    intervals can cover at most the remaining parameter range) and by a
-    memo of infeasible (pair, position, remainder) states. Branches are
-    visited in increasing order, so the first hit is the lexicographic
-    minimum.
+    An exhaustive search in increasing lexicographic order, so the first
+    hit is the lexicographic minimum, answered per interval as follows.
+
+    - Last interval: an index `where` from each point to the ascending
+      parameters at which the path takes it. The earliest (t, s) with
+      lo <= t <= s and points[s] - points[t] = rem is one scan over t with
+      a dictionary lookup of points[t] + rem and a bisect for the first
+      s >= t: O(L log L). For k = 1 this is the whole search.
+    - Second-to-last interval (k >= 2): a table `latest` from each
+      difference vector to the largest t of any pair t <= s with that
+      difference, built in O(L^2). A candidate (t, s) leaves a feasible
+      last interval exactly when latest[rem'] >= s, an O(1) check, so
+      k = 2 costs O(L^2) overall.
+    - Earlier intervals (k >= 3): a depth-first loop over ordered (t, s),
+      pruned by an l1 budget (consecutive grid points differ by exactly 1
+      in l1, so the remaining intervals can cover at most the remaining
+      parameter range) and by a memo of infeasible (pair, position,
+      remainder) states; O(L^2) candidates per level on top of the above.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -77,12 +96,35 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     end = len(pts) - 1
     # the lattice endpoint has even coordinates, so the halving is exact
     target = tuple(c // 2 for c in pts[-1])
+
+    where: dict[Vec, list[int]] = {}
+    for s, p in enumerate(pts):
+        where.setdefault(p, []).append(s)
+
+    def last(lo: int, remaining: Vec) -> tuple[int, int] | None:
+        for t in range(lo, end + 1):
+            hits = where.get(vadd(pts[t], remaining))
+            if hits is not None and hits[-1] >= t:
+                return t, hits[bisect_left(hits, t)]
+        return None
+
+    latest: dict[Vec, int] = {}
+    if k >= 2:
+        for t in range(end, -1, -1):
+            pt = pts[t]
+            for s in range(t, end + 1):
+                latest.setdefault(vsub(pts[s], pt), t)
+
     dead: set[tuple[int, int, Vec]] = set()
     chosen: list[int] = []
 
     def search(pair: int, lo: int, remaining: Vec) -> bool:
-        if pair == k:
-            return remaining == (0,) * path.n
+        if pair == k - 1:
+            hit = last(lo, remaining)
+            if hit is None:
+                return False
+            chosen.extend(hit)
+            return True
         if l1(remaining) > end - lo:
             return False
         state = (pair, lo, remaining)
@@ -92,9 +134,12 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
             # remaining - (pts[s] - pts[t]), with the sum hoisted out of the s loop
             shifted = vadd(remaining, pts[t])
             for s in range(t, end + 1):
+                rest = vsub(shifted, pts[s])
+                if pair == k - 2 and latest.get(rest, -1) < s:
+                    continue
                 chosen.append(t)
                 chosen.append(s)
-                if search(pair + 1, s, vsub(shifted, pts[s])):
+                if search(pair + 1, s, rest):
                     return True
                 chosen.pop()
                 chosen.pop()

@@ -128,29 +128,29 @@ def test_random_zero_displacement_derivations():
     ), problems
 
 
-def test_word_families_reach_the_split_at_ranks_three_to_six(split_ks):
+def test_word_families_reach_the_split_at_every_rank(split_ks):
     """Shuffled pairs, walk-and-return and block words of total length
-    m+2 ... m+8 at ranks 3-6 derive through the split with the rank's k."""
+    m+2 ... 3m at ranks 1-6 derive through the split with the rank's k."""
     t0 = time.monotonic()
     problems: list[str] = []
     checked = 0
     rng = random.Random(5150)
-    for n in range(3, 7):
+    for n in range(1, 7):
         k, m = grammar_params(n)
         g = make_grammar(n)
-        per_length = 10 if k < 3 else 2  # the k = 3 search takes ~50 ms a word
-        lengths = [L for L in range(m + 2, m + 9, 2) for _ in range(per_length)]
+        per_length = 3 if k < 3 else 1  # the k = 3 search dominates the sweep
+        lengths = [L for L in range(m + 2, 3 * m + 1, 2) for _ in range(per_length)]
         families = {
             "shuffled pairs": [shuffled_pairs(rng, n, L) for L in lengths],
             "walk and return": [walk_and_return(rng, n, L) for L in lengths],
-            # the least r with 2nr > m
-            "block": [block_word(n, m // (2 * n) + 1)],
+            # every r with m < 2nr <= 3m
+            "block": [block_word(n, r) for r in range(m // (2 * n) + 1, 3 * m // (2 * n) + 1)],
         }
         for family, words in families.items():
             split_ks.clear()
             for w in words:
-                if not m + 2 <= len(w) <= m + 8:
-                    problems.append(f"n={n} {family}: length {len(w)} outside m+2..m+8")
+                if not m + 2 <= len(w) <= 3 * m:
+                    problems.append(f"n={n} {family}: length {len(w)} outside m+2..3m")
                 elif check_derivation(g, synthesize_word(w, n)) != Instance("S", (w,)):
                     problems.append(f"n={n} {family} {w}: wrong final conclusion")
                 else:
@@ -158,11 +158,31 @@ def test_word_families_reach_the_split_at_ranks_three_to_six(split_ks):
             if set(split_ks) != {k}:
                 problems.append(f"n={n} {family}: split ran with k in {sorted(set(split_ks))}")
     elapsed = time.monotonic() - t0
-    ok = not problems and checked == 196  # 2 x (40 + 40 + 8 + 8) + 4 block words
+    # 2 x (18 + 18 + 42 + 42 + 22 + 22) words of the two random families + 26 block words
+    ok = not problems and checked == 354
     assert report(
-        "word families reach the split at ranks 3-6",
+        "word families reach the split at ranks 1-6",
         ok,
         f"{checked} words, {elapsed:.1f}s",
+    ), problems
+
+
+def test_long_block_words_at_ranks_three_and_four():
+    """Block words a1^32 ... an^32 A1^32 ... An^32 at n = 4 (L = 256) and
+    n = 3 (L = 192) derive and check; the elapsed time is reported, not
+    asserted."""
+    problems: list[str] = []
+    times: list[str] = []
+    for n in (4, 3):
+        w = block_word(n, 32)
+        t0 = time.monotonic()
+        if check_derivation(make_grammar(n), synthesize_word(w, n)) != Instance("S", (w,)):
+            problems.append(f"n={n}: wrong final conclusion")
+        times.append(f"n={n} L={len(w)} {time.monotonic() - t0:.2f}s")
+    assert report(
+        "long block words at ranks 3 and 4",
+        not problems,
+        ", ".join(times),
     ), problems
 
 
@@ -248,7 +268,7 @@ def test_breakpoint_identity_on_random_paths():
     problems: list[str] = []
     checked = 0
     rng = random.Random(424242)
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         k = grammar_params(n).k
         for _ in range(200):
             w = random_word(rng, n, 20)
@@ -266,11 +286,11 @@ def test_breakpoint_identity_on_random_paths():
                 problems.append(f"n={n} {w}: {part.breakpoints}")
                 break
             checked += 1
-    ok = not problems and checked == 800
+    ok = not problems and checked == 1200
     assert report(
         "breakpoint identity on random paths",
         ok,
-        f"{checked} paths across ranks 1-4",
+        f"{checked} paths across ranks 1-6",
     ), problems
 
 

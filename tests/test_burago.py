@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given
@@ -102,3 +103,41 @@ def test_identity_on_random_paths(n, seed):
     assert part.satisfies_identity()
     doubled_sum = vadd(part.sum_of_differences(), part.sum_of_differences())
     assert doubled_sum == path.points[-1]
+
+
+def lex_min_reference(path, k):
+    """The first ordered 2k-tuple, in lexicographic order, whose intervals sum
+    to half the displacement, or None."""
+    pts = path.points
+    for bp in combinations_with_replacement(range(len(pts)), 2 * k):
+        doubled = tuple(
+            2 * sum(pts[s][i] - pts[t][i] for t, s in zip(bp[::2], bp[1::2]))
+            for i in range(path.n)
+        )
+        if doubled == pts[-1]:
+            return bp
+    return None
+
+
+def test_breakpoints_match_brute_force_lex_min():
+    # the last interval's difference (-2, 0, 1) is also taken from t = 0, before
+    # s1 = 1; only a later pair with that difference may follow the first interval
+    path = word_to_path(("a1", "A1", "a2", "A1", "A2", "a3"), 3)
+    assert burago_partition(path, 2).breakpoints == lex_min_reference(path, 2) == (0, 1, 4, 11)
+
+    rng = random.Random(2718)
+    max_len = {1: 12, 2: 8, 3: 5, 4: 4}
+    failures = 0
+    for n in range(1, 7):
+        for k in range(1, grammar_params(n).k + 2):
+            for _ in range(25):
+                path = word_to_path(random_word(rng, n, max_len[k]), n)
+                expected = lex_min_reference(path, k)
+                if expected is None:
+                    failures += 1
+                    with pytest.raises(InternalInvariantError) as info:
+                        burago_partition(path, k)
+                    assert info.value.payload["k"] == k
+                else:
+                    assert burago_partition(path, k).breakpoints == expected, path.steps
+    assert failures  # the failure path is exercised, not only the hits

@@ -436,6 +436,15 @@ GOLDEN = [
     ("burago --n 1 --word 'a1 a1' --k 2", 0,
      "breakpoints (doubled parameters): [0, 0, 0, 2]\ninterval sum (doubled): (2,)\n"
      "identity holds: True\n", ""),
+    ("burago --n 1 --word 'a1 a1' --k 7", 0,
+     "breakpoints (doubled parameters): [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 2]\n"
+     "interval sum (doubled): (2,)\nidentity holds: True\n", ""),
+    ("burago --n 3 --word 'a1 a2 a3'", 0,
+     "breakpoints (doubled parameters): [0, 1, 3, 5]\ninterval sum (doubled): (1, 1, 1)\n"
+     "identity holds: True\n", ""),
+    ("burago --n 3 --word 'a1 a2 a3' --k 1", 2, "",
+     "internal invariant failed: no breakpoint tuple reaches half the displacement: "
+     "{'n': 3, 'steps': ((1, 1), (2, 1), (3, 1)), 'k': 1, 'target_doubled': (1, 1, 1)}\n"),
     ("xcheck --n 1 --max-len 4", 0,
      "checked 31 words (n=1, max length 4, exhaustive): 9 members, 0 mismatches\n", ""),
     ("xcheck --n 1 --max-len 4 --json", 0,
