@@ -19,8 +19,6 @@ from .derivation import (
     RuleInstance,
     apply_blocking,
     check_derivation,
-    derivation_from_json_dict,
-    derivation_to_json_dict,
     dumps_derivation,
     loads_derivation,
 )
@@ -101,8 +99,6 @@ __all__ = [
     "burago_partition",
     "canonical_json",
     "check_derivation",
-    "derivation_from_json_dict",
-    "derivation_to_json_dict",
     "displacement",
     "dumps_derivation",
     "dumps_grammar",

@@ -8,6 +8,7 @@ errors, malformed files, internal invariant failures, or xcheck mismatches.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
 from itertools import product
@@ -18,7 +19,6 @@ from .derivation import (
     DerivationError,
     check_derivation,
     dumps_derivation,
-    derivation_to_json_dict,
     loads_derivation,
 )
 from .grammar import (
@@ -160,7 +160,7 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
     payload = {
         "recognized": True,
         "steps": len(witness),
-        "derivation": derivation_to_json_dict(witness),
+        "derivation": json.loads(dumps_derivation(witness)),
     }
     return _report(args, 0, payload, f"recognized: witness with {len(witness)} steps")
 

@@ -9,7 +9,10 @@ The derivation as a whole "ends in" the conclusion of its last step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from functools import cache
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple
 
 from .grammar import (
     Blocking,
@@ -17,9 +20,7 @@ from .grammar import (
     GrammarFormatError,
     Word,
     _decode_json,
-    _expect,
     _is_int,
-    canonical_json,
     instantiate,
     require_valid,
 )
@@ -182,76 +183,104 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
     return d.steps[-1].instance()
 
 
-def _rule_ref_to_json(step: RuleInstance) -> dict:
-    if step.rule_index is not None:
-        return {"index": step.rule_index}
-    assert step.schema is not None and step.blocking is not None
-    return {"schema": step.schema, "blocking": [list(b) for b in step.blocking.blocks]}
+def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """Encoded list items, or object members, laid out as json.dumps(indent=2) does.
+
+    Each item goes on its own line at pad; the closing bracket sits two
+    spaces to the left, and an empty block stays on one line.
+    """
+    body = (",\n" + pad).join(items)
+    return f"{brackets[0]}\n{pad}{body}\n{pad[2:]}{brackets[1]}" if body else brackets
 
 
-def derivation_to_json_dict(d: Derivation) -> dict:
-    return {
-        "steps": [
-            {
-                "rule": _rule_ref_to_json(step),
-                "subst": {v: list(w) for v, w in step.subst},
-                "conclusion": {
-                    "nt": step.conclusion_nt,
-                    "components": [list(c) for c in step.conclusion],
-                },
-                "premises": list(step.premises),
-            }
-            for step in d.steps
-        ]
-    }
+def dumps_derivation(d: Derivation) -> str:
+    """The canonical derivation text, written straight from the steps.
+
+    The bytes equal json.dumps(obj, indent=2, sort_keys=True) + "\\n" of the
+    object {"steps": [{"conclusion": {"components", "nt"}, "premises",
+    "rule": {"blocking", "schema"} or {"index"}, "subst"}, ...]}. Its depth
+    is fixed, so every indent is a constant, and members are written in
+    sorted key order. Strings, token lists and blockings repeat across
+    steps; each distinct one is rendered once per call.
+    """
+    q = cache(encode_basestring_ascii)
+    component = cache(lambda w: _json_block(map(q, w), " " * 12))
+    binding = cache(lambda w: _json_block(map(q, w), " " * 10))
+    blocks = cache(lambda bs: _json_block(
+        [_json_block(map(str, b), " " * 12) for b in bs], " " * 10))
+    steps = []
+    for step in d.steps:
+        if step.rule_index is not None:
+            rule = f'{{\n        "index": {step.rule_index}\n      }}'
+        else:
+            assert step.schema is not None and step.blocking is not None
+            rule = (f'{{\n        "blocking": {blocks(step.blocking.blocks)},\n'
+                    f'        "schema": {q(step.schema)}\n      }}')
+        subst = [f"{q(v)}: {binding(w)}" for v, w in sorted(dict(step.subst).items())]
+        steps.append(
+            '{\n      "conclusion": {\n'
+            f'        "components": {_json_block(map(component, step.conclusion), " " * 10)},\n'
+            f'        "nt": {q(step.conclusion_nt)}\n      }},\n'
+            f'      "premises": {_json_block(map(str, step.premises), " " * 8)},\n'
+            f'      "rule": {rule},\n'
+            f'      "subst": {_json_block(subst, " " * 8, "{}")}\n    }}')
+    return f'{{\n  "steps": {_json_block(steps, " " * 4)}\n}}\n'
 
 
-def derivation_from_json_dict(data: object) -> Derivation:
-    _expect(isinstance(data, dict), "derivation must be a JSON object")
-    assert isinstance(data, dict)
+def _lists_of(lists: Iterable[object], item: type) -> bool:
+    """Every element is a list whose values all have exactly type item.
+
+    Exact types match what json.loads builds, and keep true and false out
+    of integer lists.
+    """
+    return set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {item}
+
+
+def loads_derivation(text: str) -> Derivation:
+    """Parse derivation JSON, validating each step as its RuleInstance is built."""
+    data = _decode_json(text)
+    if not isinstance(data, dict):
+        raise GrammarFormatError("derivation must be a JSON object")
     raw_steps = data.get("steps")
-    _expect(isinstance(raw_steps, list), "steps must be a list")
+    if not isinstance(raw_steps, list):
+        raise GrammarFormatError("steps must be a list")
     steps: list[RuleInstance] = []
     for i, entry in enumerate(raw_steps):
-        where = f"step {i}"
-        _expect(isinstance(entry, dict), f"{where}: must be an object")
+        if not isinstance(entry, dict):
+            raise GrammarFormatError(f"step {i}: must be an object")
         ref = entry.get("rule")
-        _expect(isinstance(ref, dict), f"{where}: rule must be an object")
-        rule_index: int | None = None
-        schema: str | None = None
+        if not isinstance(ref, dict):
+            raise GrammarFormatError(f"step {i}: rule must be an object")
+        if ("index" in ref) == ("schema" in ref):
+            raise GrammarFormatError(
+                f"step {i}: rule must carry exactly one of 'index' or 'schema'")
+        rule_index = ref.get("index")
+        schema = ref.get("schema")
         blocking: Blocking | None = None
         if "index" in ref:
-            _expect(_is_int(ref["index"]), f"{where}: rule index must be an integer")
-            rule_index = ref["index"]
-        elif "schema" in ref:
-            _expect(isinstance(ref["schema"], str), f"{where}: schema must be a string")
-            schema = ref["schema"]
-            raw_blocking = ref.get("blocking")
-            _expect(isinstance(raw_blocking, list)
-                    and all(isinstance(b, list) and all(_is_int(x) for x in b)
-                            for b in raw_blocking),
-                    f"{where}: blocking must be a list of integer lists")
-            blocking = Blocking(tuple(tuple(b) for b in raw_blocking))
+            if not _is_int(rule_index):
+                raise GrammarFormatError(f"step {i}: rule index must be an integer")
+        elif not isinstance(schema, str):
+            raise GrammarFormatError(f"step {i}: schema must be a string")
         else:
-            raise GrammarFormatError(f"{where}: rule must carry 'index' or 'schema'")
+            raw_blocking = ref.get("blocking")
+            if not (isinstance(raw_blocking, list) and _lists_of(raw_blocking, int)):
+                raise GrammarFormatError(f"step {i}: blocking must be a list of integer lists")
+            blocking = Blocking(tuple(map(tuple, raw_blocking)))
         raw_subst = entry.get("subst", {})
-        _expect(isinstance(raw_subst, dict)
-                and all(isinstance(v, str) and isinstance(w, list)
-                        and all(isinstance(t, str) for t in w)
-                        for v, w in raw_subst.items()),
-                f"{where}: subst must map variables to token lists")
+        if not (isinstance(raw_subst, dict) and _lists_of(raw_subst.values(), str)):
+            raise GrammarFormatError(f"step {i}: subst must map variables to token lists")
         concl = entry.get("conclusion")
-        _expect(isinstance(concl, dict) and isinstance(concl.get("nt"), str)
+        if not (isinstance(concl, dict) and isinstance(concl.get("nt"), str)
                 and isinstance(concl.get("components"), list)
-                and all(isinstance(c, list) and all(isinstance(t, str) for t in c)
-                        for c in concl["components"]),
-                f"{where}: conclusion must be {{nt, components}}")
+                and _lists_of(concl["components"], str)):
+            raise GrammarFormatError(f"step {i}: conclusion must be {{nt, components}}")
         raw_premises = entry.get("premises", [])
-        _expect(isinstance(raw_premises, list) and all(_is_int(p) for p in raw_premises),
-                f"{where}: premises must be a list of integers")
+        if not (isinstance(raw_premises, list) and set(map(type, raw_premises)) <= {int}):
+            raise GrammarFormatError(f"step {i}: premises must be a list of integers")
         steps.append(RuleInstance(
             conclusion_nt=concl["nt"],
-            conclusion=tuple(tuple(c) for c in concl["components"]),
+            conclusion=tuple(map(tuple, concl["components"])),
             premises=tuple(raw_premises),
             rule_index=rule_index,
             schema=schema,
@@ -259,11 +288,3 @@ def derivation_from_json_dict(data: object) -> Derivation:
             subst=tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())),
         ))
     return Derivation(tuple(steps))
-
-
-def dumps_derivation(d: Derivation) -> str:
-    return canonical_json(derivation_to_json_dict(d))
-
-
-def loads_derivation(text: str) -> Derivation:
-    return derivation_from_json_dict(_decode_json(text))

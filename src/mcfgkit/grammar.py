@@ -286,7 +286,7 @@ def dumps_grammar(g: Grammar) -> str:
 def _decode_json(text: str) -> object:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # deep nesting overflows the decoder
         raise GrammarFormatError(f"invalid JSON: {exc}") from exc
 
 

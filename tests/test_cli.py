@@ -184,6 +184,23 @@ def test_verify_malformed_file_exits_two(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--n", "1", "--derivation", "{deep}"],
+        ["recognize", "--grammar", "{deep}", "--word", "ab"],
+    ],
+)
+def test_deeply_nested_json_exits_two(tmp_path, capsys, argv):
+    target = tmp_path / "deep.json"
+    target.write_text("[" * 200_000, encoding="utf-8")
+    code, out, err = run_out(capsys, [a.replace("{deep}", str(target)) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_recognize_rejects_schema_grammars(capsys):
     code, _, err = run_out(capsys, ["recognize", "--n", "1", "--word", "a1 A1"])
     assert code == 2

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import random
+
 import pytest
 from hypothesis import given
 
@@ -16,8 +19,6 @@ from mcfgkit import (
     RuleInstance,
     apply_blocking,
     check_derivation,
-    derivation_from_json_dict,
-    derivation_to_json_dict,
     dumps_derivation,
     loads_derivation,
     make_grammar,
@@ -228,11 +229,65 @@ def test_json_round_trip_concrete_and_schema_steps(abcd_grammar):
         (make_grammar(1), combine_steps()),
     ):
         d = Derivation(steps)
-        assert derivation_from_json_dict(derivation_to_json_dict(d)) == d
         text = dumps_derivation(d)
+        assert loads_derivation(json.dumps(json.loads(text))) == d
         assert loads_derivation(text) == d
         assert dumps_derivation(loads_derivation(text)) == text
         check_derivation(grammar, loads_derivation(text))
+
+
+# quote, backslash, non-ASCII, U+2028, an astral character, control characters
+PIECES = ('"', "\\", "\u00e9", "\u2028", "\U0001f600", "\x00", "\x1f", "\n", "\x7f", "a1")
+
+
+def random_step(rng: random.Random) -> dict:
+    """A step object with every key present; strings may be empty."""
+    def text() -> str:
+        return "".join(rng.choice(PIECES) for _ in range(rng.randrange(4)))
+
+    def lists(item) -> list:
+        return [[item() for _ in range(rng.randrange(4))] for _ in range(rng.randrange(4))]
+
+    if rng.random() < 0.5:
+        rule = {"index": rng.randrange(10 ** rng.randrange(1, 5))}
+    else:
+        rule = {"schema": text(), "blocking": lists(lambda: rng.randrange(-3, 300))}
+    return {
+        "conclusion": {"components": lists(text), "nt": text()},
+        "premises": [rng.randrange(10 ** rng.randrange(1, 5)) for _ in range(rng.randrange(4))],
+        "rule": rule,
+        "subst": {text(): [text() for _ in range(rng.randrange(4))]
+                  for _ in range(rng.randrange(4))},
+    }
+
+
+def test_dumps_matches_json_dumps_on_any_strings():
+    rng = random.Random(2026)
+    fixed = [
+        {"steps": []},
+        {"steps": [{"conclusion": {"components": [], "nt": ""}, "premises": [],
+                    "rule": {"index": 0}, "subst": {}}]},
+        {"steps": [{"conclusion": {"components": [[], [""]], "nt": "I"}, "premises": [10, 123],
+                    "rule": {"blocking": [], "schema": "I"}, "subst": {"": []}}]},
+    ]
+    for data in fixed + [{"steps": [random_step(rng) for _ in range(rng.randrange(1, 5))]}
+                         for _ in range(300)]:
+        text = json.dumps(data, ensure_ascii=rng.random() < 0.5)
+        d = loads_derivation(text)
+        out = dumps_derivation(d)
+        assert out == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+        assert loads_derivation(out) == d
+
+
+def test_dumps_sorts_subst_names_of_a_built_step():
+    # dict() keeps the last binding of a repeated name, as json.dumps of a dict would
+    subst = (("y", ("b",)), ("x", ("\u2028",)), ("y", ("c",)))
+    step = RuleInstance(conclusion_nt="I", conclusion=((),), premises=(12,), rule_index=3,
+                        subst=subst)
+    expected = {"steps": [{"conclusion": {"components": [[]], "nt": "I"}, "premises": [12],
+                           "rule": {"index": 3}, "subst": {v: list(w) for v, w in subst}}]}
+    assert dumps_derivation(Derivation((step,))) == json.dumps(
+        expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_loads_derivation_rejects_invalid_json():
@@ -266,8 +321,11 @@ def test_loads_derivation_rejects_invalid_json():
         {"steps": [{"rule": {"index": 0},
                     "conclusion": {"nt": "I", "components": []},
                     "premises": [True]}]},
+        # a rule carries exactly one of the two references
+        {"steps": [{"rule": {"index": 0, "schema": "I", "blocking": [[1], [2]]},
+                    "conclusion": {"nt": "I", "components": []}}]},
     ],
 )
 def test_malformed_derivation_json_is_rejected(data):
     with pytest.raises(GrammarFormatError):
-        derivation_from_json_dict(data)
+        loads_derivation(json.dumps(data))
