@@ -239,21 +239,20 @@ def _lists_of(lists: Iterable[object], item: type) -> bool:
 def loads_derivation(text: str) -> Derivation:
     """Parse derivation JSON, validating each step as its RuleInstance is built."""
     data = _decode_json(text)
-    if not isinstance(data, dict):
-        raise GrammarFormatError("derivation must be a JSON object")
-    raw_steps = data.get("steps")
+    if not (isinstance(data, dict) and data.keys() == {"steps"}):
+        raise GrammarFormatError("derivation must be a JSON object with the one key 'steps'")
+    raw_steps = data["steps"]
     if not isinstance(raw_steps, list):
         raise GrammarFormatError("steps must be a list")
     steps: list[RuleInstance] = []
     for i, entry in enumerate(raw_steps):
-        if not isinstance(entry, dict):
-            raise GrammarFormatError(f"step {i}: must be an object")
+        if not (isinstance(entry, dict) and entry.keys() <= {"conclusion", "premises", "rule", "subst"}):
+            raise GrammarFormatError(f"step {i}: must be an object of conclusion, premises, rule, subst")
         ref = entry.get("rule")
         if not isinstance(ref, dict):
             raise GrammarFormatError(f"step {i}: rule must be an object")
-        if ("index" in ref) == ("schema" in ref):
-            raise GrammarFormatError(
-                f"step {i}: rule must carry exactly one of 'index' or 'schema'")
+        if ref.keys() != ({"index"} if "index" in ref else {"blocking", "schema"}):
+            raise GrammarFormatError(f"step {i}: rule must be 'index' alone or 'schema' with 'blocking'")
         rule_index = ref.get("index")
         schema = ref.get("schema")
         blocking: Blocking | None = None
@@ -271,7 +270,7 @@ def loads_derivation(text: str) -> Derivation:
         if not (isinstance(raw_subst, dict) and _lists_of(raw_subst.values(), str)):
             raise GrammarFormatError(f"step {i}: subst must map variables to token lists")
         concl = entry.get("conclusion")
-        if not (isinstance(concl, dict) and isinstance(concl.get("nt"), str)
+        if not (isinstance(concl, dict) and len(concl) == 2 and isinstance(concl.get("nt"), str)
                 and isinstance(concl.get("components"), list)
                 and _lists_of(concl["components"], str)):
             raise GrammarFormatError(f"step {i}: conclusion must be {{nt, components}}")

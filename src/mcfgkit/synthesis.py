@@ -30,11 +30,11 @@ from .grammar import Blocking, Grammar, Word, instantiate
 from .zn import (
     LatticePath,
     Vec,
+    _decode,
     displacement,
     grammar_params,
     make_grammar,
     make_token,
-    token_step,
     vadd,
     vsub,
     word_to_path,
@@ -80,14 +80,17 @@ def _pad_to_last(blocks: list[list[int]], total_slots: int) -> Blocking:
 class HalfSplit:
     """One concatenated half, cut into parts on the half-unit grid.
 
-    boundaries has len(parts)+1 sorted parameters starting at 0 and
-    ending at 2L; members holds the 0-based part indices on the chosen
-    side of the balance condition (S for the left half, T for the right).
+    word is the half's tokens, path its lattice path, and every part word
+    a slice of word. boundaries has len(parts)+1 sorted parameters
+    starting at 0 and ending at 2L; members holds the 0-based part indices
+    on the chosen side of the balance condition (S for the left half, T
+    for the right).
     component_cuts are the even parameters of the original component
     boundaries, with multiplicity, and appear among boundaries verbatim.
     """
 
     path: LatticePath
+    word: Word
     component_cuts: tuple[int, ...]
     boundaries: tuple[int, ...]
     members: frozenset[int]
@@ -107,9 +110,7 @@ class HalfSplit:
         lo, hi = self.part_span(p)
         if lo % 2 or hi % 2:
             raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
-        return tuple(
-            make_token(*self.path.steps[j]) for j in range(lo // 2, hi // 2)
-        )
+        return self.word[lo // 2 : hi // 2]
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class YZSplit:
     blocking: Blocking
 
 
-def _split_half(word: Word, comps: tuple[Word, ...], n: int, k: int) -> HalfSplit:
+def _split_half(word: Word, path: LatticePath, comps: tuple[Word, ...], k: int) -> HalfSplit:
     """Refine one half by its component cuts and its breakpoint partition.
 
     Merging keeps multiplicity; at equal parameters component cuts come
@@ -150,7 +151,6 @@ def _split_half(word: Word, comps: tuple[Word, ...], n: int, k: int) -> HalfSpli
     number of passed breakpoints lie inside the segments, and those form
     the initial member set.
     """
-    path = word_to_path(word, n)
     partition = burago_partition(path, k)
     cuts = _cut_params(comps)
     merged: list[tuple[int, int]] = sorted(
@@ -164,7 +164,7 @@ def _split_half(word: Word, comps: tuple[Word, ...], n: int, k: int) -> HalfSpli
             passed += 1
         if passed % 2 == 1:
             members.add(p)
-    return HalfSplit(path, cuts, boundaries, frozenset(members))
+    return HalfSplit(path, word, cuts, boundaries, frozenset(members))
 
 
 def _normalize(half: HalfSplit, prefer_large: bool) -> HalfSplit:
@@ -192,15 +192,16 @@ def refine_and_split(x: tuple[Word, ...], n: int, k: int) -> RefinedSplit:
     m = len(x)
     if m % 2:
         raise ValueError(f"tuple width must be even, got {m}")
-    whole = displacement(_flatten(x), n)
-    if any(whole):
-        raise ValueError(f"tuple displacement must be zero, got {whole}")
     h1 = _flatten(x[: m // 2])
     h2 = _flatten(x[m // 2 :])
-    if not any(displacement(h1, n)):
+    p1, p2 = word_to_path(h1, n), word_to_path(h2, n)
+    whole = tuple(c // 2 for c in vadd(p1.points[-1], p2.points[-1]))
+    if any(whole):
+        raise ValueError(f"tuple displacement must be zero, got {whole}")
+    if not any(p1.points[-1]):
         raise ValueError("both halves must have nonzero displacement")
-    left = _normalize(_split_half(h1, x[: m // 2], n, k), prefer_large=True)
-    right = _normalize(_split_half(h2, x[m // 2 :], n, k), prefer_large=False)
+    left = _normalize(_split_half(h1, p1, x[: m // 2], k), prefer_large=True)
+    right = _normalize(_split_half(h2, p2, x[m // 2 :], k), prefer_large=False)
     return RefinedSplit(left, right)
 
 
@@ -396,17 +397,12 @@ class _Synthesizer:
             return self.axiom(1)
         # rule order fixed by make_grammar: start rule, empty axiom, per-axis axioms
         for axis in range(1, self.n + 1):
-            shape: tuple[Word, ...] = (
-                (make_token(axis, 1),),
-                (make_token(axis, -1),),
-            ) + ((),) * (m - 2)
-            if x == shape:
+            if x == ((make_token(axis, 1),), (make_token(axis, -1),)) + ((),) * (m - 2):
                 return self.axiom(1 + axis)
 
         pending: dict[tuple[int, int], deque[int]] = {}
         pairs: list[tuple[int, int, int]] = []
-        for pos, token in enumerate(tokens):
-            axis, sign = token_step(token)
+        for pos, (axis, sign) in enumerate(_decode(tokens, self.n)):
             queue = pending.setdefault((axis, -sign), deque())
             if queue:
                 partner = queue.popleft()

@@ -7,13 +7,18 @@ parameterized by half-units p = 0..2L. Lattice points sit at even p (all
 coordinates even) and edge midpoints at odd p (exactly one odd coordinate).
 Every path starts at the origin and is read through its `points` (indexed
 by p, so `points[-1]` is the doubled displacement) and its `steps`.
+
+Words decode through a per-rank table from each of the 2n tokens to its
+(axis, sign); a word with a token outside it goes through the per-token
+parser instead, which names the first bad token.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 from .grammar import CombineSchema, Grammar, Rule, Word, term, var
@@ -57,8 +62,18 @@ def alphabet(n: int) -> tuple[str, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None, typed=True)
+def _steps_of(n: int) -> dict[str, tuple[int, int]]:
+    """The (axis, sign) of each of the 2n tokens of rank n."""
+    return {token: token_step(token) for token in alphabet(n)}
+
+
 def _decode(word: Word, n: int) -> tuple[tuple[int, int], ...]:
     """The (axis, sign) of every token, rejecting axes beyond n."""
+    try:
+        return tuple(map(_steps_of(n).__getitem__, word))
+    except (KeyError, TypeError):
+        pass  # a bad token or a non-int n: the loop below names the first bad token
     steps = []
     for token in word:
         axis, sign = token_step(token)
@@ -70,10 +85,8 @@ def _decode(word: Word, n: int) -> tuple[tuple[int, int], ...]:
 
 def displacement(word: Word, n: int) -> Vec:
     """Net movement of a word as an n-vector of unit steps."""
-    disp = [0] * n
-    for axis, sign in _decode(word, n):
-        disp[axis - 1] += sign
-    return tuple(disp)
+    counts = Counter(_decode(word, n))
+    return tuple(counts[axis, 1] - counts[axis, -1] for axis in range(1, n + 1))
 
 
 def vadd(u: Vec, v: Vec) -> Vec:
@@ -145,12 +158,14 @@ def grammar_params(n: int) -> GrammarParams:
     return GrammarParams(k=k, m=8 * k - 2)
 
 
+@lru_cache(maxsize=None, typed=True)
 def make_grammar(n: int) -> Grammar:
     """Grammar whose language is the set of words with zero displacement in rank n.
 
     One start rule flattens an m-tuple, one axiom derives the all-empty
     tuple, one axiom per axis derives (a_i, A_i, eps, ...), and a single
     schema carries the full regrouping family for the arity-m nonterminal.
+    Built once per rank: calls with the same n share one immutable grammar.
     """
     params = grammar_params(n)
     m = params.m

@@ -8,6 +8,7 @@ carries one.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 from itertools import product
@@ -32,6 +33,7 @@ from mcfgkit import (
     word_to_path,
 )
 from mcfgkit.cli import run
+from mcfgkit.synthesis import _Synthesizer
 
 from conftest import make_abcd_grammar
 from wordgen import (
@@ -380,3 +382,48 @@ def test_derivation_file_round_trips(tmp_path, capsys):
         ok,
         f"{files} files derived, verified, and re-serialized",
     ), problems
+
+
+# sha256 of the derivation texts of golden_words(), concatenated in order
+GOLDEN_SHA256 = "c2ca2bc7512fc3a0ed3aab225eebbe3f8ae1880798e3160f53ffb5c2eb7b3818"
+
+
+def golden_words() -> list[tuple[int, tuple[str, ...]]]:
+    """40 seeded members at ranks 1-6, from just past m up to 6m at k < 3."""
+    rng = random.Random(7)
+    words = []
+    for n in range(1, 7):
+        k, m = grammar_params(n)
+        for L in (m + 2, 2 * m, 6 * m) if k < 3 else (m + 2, 2 * m):
+            words.append((n, shuffled_pairs(rng, n, L)))
+            words.append((n, walk_and_return(rng, n, L)))
+        words.append((n, block_word(n, m // (2 * n) + 1)))
+    words += [(1, block_word(1, 16)), (2, block_word(2, 12))]
+    return words
+
+
+def test_golden_derivation_bytes(split_ks, monkeypatch):
+    """The serialized derivations of a fixed word set hash to a pinned
+    digest, and the set reaches the split, halve and rebalance branches."""
+    branches = {"halve": 0, "rebalance": 0}
+    for name in branches:
+        original = getattr(_Synthesizer, name)
+
+        def counted(self, x, original=original, name=name):
+            branches[name] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(_Synthesizer, name, counted)
+    t0 = time.monotonic()
+    digest = hashlib.sha256()
+    words = golden_words()
+    for n, w in words:
+        digest.update(dumps_derivation(synthesize_word(w, n)).encode("utf-8"))
+    elapsed = time.monotonic() - t0
+    ok = (len(words) == 40 and digest.hexdigest() == GOLDEN_SHA256
+          and len(split_ks) > 0 and all(branches.values()))
+    assert report(
+        "golden derivation bytes",
+        ok,
+        f"{len(words)} words, {len(split_ks)} splits, {branches}, {elapsed:.2f}s",
+    ), digest.hexdigest()

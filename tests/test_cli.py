@@ -356,6 +356,20 @@ def test_verify_rejects_boolean_rule_index(tmp_path, capsys):
     assert "rule index must be an integer" in err
 
 
+def test_verify_rejects_unknown_keys(tmp_path, capsys):
+    target = tmp_path / "d.json"
+    run(["derive", "--n", "1", "--word", "a1 A1 A1 a1", "--out", str(target)])
+    capsys.readouterr()
+    data = json.loads(target.read_text(encoding="utf-8"))
+    index = next(i for i, s in enumerate(data["steps"]) if s["rule"] == {"index": 1})
+    data["steps"][index]["rule"]["blocking"] = [[1]]
+    target.write_text(json.dumps(data), encoding="utf-8")
+    code, out, err = run_out(capsys, ["verify", "--n", "1", "--derivation", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: step {index}: rule must be 'index' alone or 'schema' with 'blocking'\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

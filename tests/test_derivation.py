@@ -324,8 +324,28 @@ def test_loads_derivation_rejects_invalid_json():
         # a rule carries exactly one of the two references
         {"steps": [{"rule": {"index": 0, "schema": "I", "blocking": [[1], [2]]},
                     "conclusion": {"nt": "I", "components": []}}]},
+        # unknown keys, which a re-dump would drop: at the top, in a step,
+        # in a rule (a blocking beside an index) and in a conclusion
+        {"steps": [], "version": 1},
+        {},
+        {"steps": [{"rule": {"index": 0}, "note": "",
+                    "conclusion": {"nt": "I", "components": []}}]},
+        {"steps": [{"rule": {"index": 0, "blocking": [[1], [2]]},
+                    "conclusion": {"nt": "I", "components": []}}]},
+        {"steps": [{"rule": {"schema": "I", "blocking": [[1], [2]], "index2": 0},
+                    "conclusion": {"nt": "I", "components": []}}]},
+        {"steps": [{"rule": {"index": 0},
+                    "conclusion": {"nt": "I", "components": [], "arity": 0}}]},
     ],
 )
 def test_malformed_derivation_json_is_rejected(data):
     with pytest.raises(GrammarFormatError):
         loads_derivation(json.dumps(data))
+
+
+def test_minimal_steps_load_with_default_subst_and_premises():
+    # the malformed cases above differ from these in one key each
+    for rule in ({"index": 0}, {"schema": "I", "blocking": [[1], [2]]}):
+        data = {"steps": [{"rule": rule, "conclusion": {"nt": "I", "components": []}}]}
+        (step,) = loads_derivation(json.dumps(data)).steps
+        assert step.subst == () and step.premises == ()

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mcfgkit.synthesis
 from mcfgkit import (
     Instance,
     InternalInvariantError,
@@ -192,6 +193,26 @@ def test_lift_moves_boundaries_onto_the_lattice(n, data):
     )
     outside = sum(2 * len(half.path) for half in (lifted.left, lifted.right)) - inside
     assert inside >= 1 and outside >= 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@given(data=st.data())
+def test_each_split_decodes_each_half_once(n, data):
+    x = data.draw(recursion_tuples(n))
+    k, m = grammar_params(n)
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("word_to_path", "displacement"):
+            def counted(*args, original=getattr(mcfgkit.synthesis, name), name=name):
+                calls[name] += 1
+                return original(*args)
+
+            mp.setattr(mcfgkit.synthesis, name, counted)
+        lifted = lift_to_lattice(mcfgkit.synthesis.refine_and_split(x, n, k))
+    assert calls == {"word_to_path": 2}
+    for half, comps in ((lifted.left, x[: m // 2]), (lifted.right, x[m // 2 :])):
+        assert half.word == flatten(comps)
+        assert flatten(tuple(map(half.part_word, range(half.part_count)))) == half.word
 
 
 def test_lift_reports_unrepairable_minimal_split():

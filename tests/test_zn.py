@@ -71,6 +71,40 @@ def test_displacement_examples():
         displacement(("a3",), 2)
 
 
+@pytest.mark.parametrize("decode", [displacement, word_to_path])
+@pytest.mark.parametrize("word, n, message", [
+    (("a1", "b2"), 2, "malformed generator token: 'b2'"),
+    (("a0",), 2, "malformed generator token: 'a0'"),
+    (("a1", "a01"), 2, "malformed generator token: 'a01'"),
+    (("A3",), 2, "token 'A3': axis 3 out of range for n=2"),
+    (("a1",), 0, "token 'a1': axis 1 out of range for n=0"),
+    # several bad tokens: the first one is named
+    (("a1", "a9", "x", "A7"), 2, "token 'a9': axis 9 out of range for n=2"),
+    (("a2", "x", "a9"), 2, "malformed generator token: 'x'"),
+    (("A1", "a1 ", "b1"), 1, "malformed generator token: 'a1 '"),
+])
+def test_decode_errors_name_the_first_bad_token(decode, word, n, message):
+    with pytest.raises(ValueError) as info:
+        decode(word, n)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("decode", [displacement, word_to_path])
+@pytest.mark.parametrize("token", [5, None, ["a1"]])
+def test_decode_rejects_non_string_tokens(decode, token):
+    with pytest.raises(TypeError):
+        decode(("a1", token), 1)
+
+
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(alphabet(n)), max_size=40))))
+def test_displacement_is_the_signed_letter_count(case):
+    n, word = case
+    expected = tuple(word.count(f"a{i}") - word.count(f"A{i}") for i in range(1, n + 1))
+    assert displacement(tuple(word), n) == expected
+    assert word_to_path(tuple(word), n).points[-1] == tuple(2 * c for c in expected)
+
+
 def test_vector_helpers():
     assert vadd((1, 2), (3, -5)) == (4, -3)
     assert vsub((1, 2), (3, -5)) == (-2, 7)
@@ -147,6 +181,16 @@ def test_make_grammar_rank_two_shape():
     assert len(g.rules) == 4
     assert g.rules[3].templates[:2] == ((("term", "a2"),), (("term", "A2"),))
     assert g.schemas[0].arity == 6
+
+
+def test_make_grammar_is_one_shared_grammar_per_rank():
+    assert make_grammar(2) is make_grammar(2)
+    assert make_grammar(1) is not make_grammar(2)
+    # a float rank is not the cached integer rank: it fails as it always has
+    with pytest.raises(TypeError):
+        make_grammar(1.0)
+    with pytest.raises(ValueError):
+        make_grammar(0)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
