@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
 
 Word = tuple[str, ...]
 TemplateItem = tuple[str, str]  # ("term", symbol) or ("var", name)
@@ -87,10 +86,6 @@ class Grammar:
     start: str
     rules: tuple[Rule, ...]
     schemas: tuple[CombineSchema, ...] = ()
-
-    @cached_property
-    def arities(self) -> dict[str, int]:
-        return dict(self.nonterminals)
 
 
 def instantiate(template: Template, subst: dict[str, Word]) -> Word:

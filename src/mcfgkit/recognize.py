@@ -11,13 +11,19 @@ grammars that drop variables the closure can under-accept.
 
 Witness choice is deterministic: instances keep their first discovery,
 found by scanning rules in index order and premise tuples in discovery
-order, pass after pass until a fixpoint.
+order, in passes until one admits nothing. The closure is semi-naive:
+each rule remembers the pool lengths it saw on its previous turn and
+then tries only the premise tuples that use an instance added since,
+in the same order. This changes no witness, since a tuple wholly inside
+the old pools was already tried and gave an instance that is now
+derived, or one that was rejected, and rejection depends only on the
+instance.
 """
 
 from __future__ import annotations
 
 from itertools import product
-from typing import Callable
+from typing import Callable, Iterator
 
 from .derivation import Derivation, Instance, RuleInstance
 from .grammar import Grammar, Word, instantiate, require_valid
@@ -28,6 +34,23 @@ class SchemaPresentError(ValueError):
 
 
 _Provenance = tuple[int, tuple[Instance, ...]]
+
+
+def _fresh(
+    pools: list[list[Instance]], old: tuple[int, ...], new: tuple[int, ...]
+) -> Iterator[tuple[Instance, ...]]:
+    """The tuples of product(*(p[:n] for p, n in zip(pools, new))), in that
+    order, that use some pools[i][j] with j >= old[i].
+
+    Pools only grow, so slicing at the lengths in new reads the same
+    snapshot however late the slice is taken.
+    """
+    (pool, *rest), (o, *old_rest), (n, *new_rest) = pools, old, new
+    if rest:
+        for inst in pool[:o]:
+            for tail in _fresh(rest, old_rest, new_rest):
+                yield (inst, *tail)
+    yield from product(pool[o:n], *(p[:m] for p, m in zip(rest, new_rest)))
 
 
 def _close(
@@ -49,12 +72,19 @@ def _close(
         by_nt[inst.nt].append(inst)
         return True
 
+    seen: list[tuple[int, ...] | None] = [None] * len(g.rules)
     changed = True
     while changed:
         changed = False
         for index, rule in enumerate(g.rules):
+            pools = [by_nt[nt] for nt, _ in rule.rhs]
+            old, new = seen[index], tuple(map(len, pools))
+            if old == new:
+                continue
+            seen[index] = new
             # product snapshots every pool before yielding the first tuple
-            for premises in product(*(by_nt[nt] for nt, _ in rule.rhs)):
+            tuples = product(*pools) if old is None else _fresh(pools, old, new)
+            for premises in tuples:
                 subst: dict[str, Word] = {}
                 for (_, names), inst in zip(rule.rhs, premises):
                     subst.update(zip(names, inst.components))

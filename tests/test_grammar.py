@@ -161,7 +161,7 @@ def test_blocking_violations():
 
 
 def test_grammar_arities(abcd_grammar):
-    assert abcd_grammar.arities == {"S": 1, "I": 2}
+    assert abcd_grammar.nonterminals == (("S", 1), ("I", 2))
 
 
 def test_json_round_trip_preserves_grammars(abcd_grammar):

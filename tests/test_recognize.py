@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from itertools import product
 
 import pytest
@@ -14,12 +16,16 @@ from mcfgkit import (
     SchemaPresentError,
     bounded_language,
     check_derivation,
+    dumps_derivation,
+    instantiate,
     make_grammar,
     recognize_bounded,
     term,
     var,
 )
+from mcfgkit import recognize
 
+from conftest import make_abcd_grammar
 from wordgen import abcd_oracle
 
 
@@ -113,3 +119,108 @@ def test_empty_word_handling(abcd_grammar):
     accepted, witness = recognize_bounded(abcd_grammar, ())
     assert accepted
     assert check_derivation(abcd_grammar, witness) == Instance("S", ((),))
+
+
+def copy_grammar() -> Grammar:
+    """{ w w : w over {a, b} }."""
+    return Grammar(
+        terminals=("a", "b"),
+        nonterminals=(("S", 1), ("I", 2)),
+        start="S",
+        rules=(
+            Rule("I", ((), ())),
+            Rule("I", ((var("x"), term("a")), (var("y"), term("a"))), (("I", ("x", "y")),)),
+            Rule("I", ((var("x"), term("b")), (var("y"), term("b"))), (("I", ("x", "y")),)),
+            Rule("S", ((var("x"), var("y")),), (("I", ("x", "y")),)),
+        ),
+    )
+
+
+def two_premise_grammar() -> Grammar:
+    """a+ b^j c^j and b^j a+ c^j, with an ambiguous A -> A A and a
+    duplicated start rule, so that witnesses depend on discovery order."""
+    return Grammar(
+        terminals=("a", "b", "c"),
+        nonterminals=(("S", 1), ("A", 1), ("B", 2)),
+        start="S",
+        rules=(
+            Rule("A", ((term("a"),),)),
+            Rule("A", ((var("x"), var("y")),), (("A", ("x",)), ("A", ("y",)))),
+            Rule("B", ((), ())),
+            Rule("B", ((var("u"), term("b")), (var("v"), term("c"))), (("B", ("u", "v")),)),
+            Rule("S", ((var("x"), var("u"), var("v")),), (("A", ("x",)), ("B", ("u", "v")))),
+            Rule("S", ((var("u"), var("x"), var("v")),), (("B", ("u", "v")), ("A", ("x",)))),
+            Rule("S", ((var("x"), var("u"), var("v")),), (("A", ("x",)), ("B", ("u", "v")))),
+        ),
+    )
+
+
+def reference_close(g, budget, component_ok):
+    """The naive closure: every rule over every premise tuple, pass after
+    pass until a pass admits nothing."""
+    derived = {}
+    by_nt = {nt: [] for nt, _ in g.nonterminals}
+    changed = True
+    while changed:
+        changed = False
+        for index, rule in enumerate(g.rules):
+            for premises in product(*(by_nt[nt] for nt, _ in rule.rhs)):
+                subst = {}
+                for (_, names), inst in zip(rule.rhs, premises):
+                    subst.update(zip(names, inst.components))
+                comps = tuple(instantiate(t, subst) for t in rule.templates)
+                inst = Instance(rule.lhs, comps)
+                if (inst in derived or sum(map(len, comps)) > budget
+                        or not all(map(component_ok, comps))):
+                    continue
+                derived[inst] = (index, premises)
+                by_nt[inst.nt].append(inst)
+                changed = True
+    return derived
+
+
+def test_closure_matches_naive_passes_on_two_premise_rules(monkeypatch):
+    g = two_premise_grammar()
+    for budget in range(9):
+        semi = recognize._close(g, budget, lambda _: True)
+        assert list(semi.items()) == list(reference_close(g, budget, lambda _: True).items())
+    words = [w for length in range(7) for w in product("abc", repeat=length)]
+    fast = [recognize_bounded(g, w) for w in words]
+    monkeypatch.setattr(recognize, "_close", reference_close)
+    slow = [recognize_bounded(g, w) for w in words]
+    assert fast == slow
+    assert sum(accepted for accepted, _ in fast) == 18
+
+
+# sha256 of dumps_derivation(witness), or b"0" for a rejection, over
+# golden_strings() in order
+GOLDEN_WITNESS_SHA256 = "20afdc454623bbf6268e5e12ce2b445b1d8ca235e27415e676fb07a04ea1fece"
+
+
+def golden_strings() -> list[tuple[Grammar, tuple[str, ...]]]:
+    """200 seeded strings: short abcd strings and members, then copy-language
+    members and one-letter spoils of them up to length 24."""
+    rng = random.Random(11)
+    abcd, copy = make_abcd_grammar(), copy_grammar()
+    cases = [(abcd, abcd_word(j)) for j in range(5)]
+    cases += [(abcd, tuple(rng.choice("abcd") for _ in range(rng.randrange(13))))
+              for _ in range(120)]
+    for half in range(13):
+        for _ in range(3):
+            w = tuple(rng.choice("ab") for _ in range(half)) * 2
+            cases.append((copy, w))
+            if w:
+                at = rng.randrange(len(w))
+                cases.append((copy, w[:at] + ("b" if w[at] == "a" else "a",) + w[at + 1:]))
+    return cases
+
+
+def test_golden_witness_bytes():
+    digest = hashlib.sha256()
+    accepted = 0
+    for g, s in golden_strings():
+        ok, witness = recognize_bounded(g, s)
+        accepted += ok
+        digest.update(dumps_derivation(witness).encode("utf-8") if ok else b"0")
+    assert accepted == 51
+    assert digest.hexdigest() == GOLDEN_WITNESS_SHA256
