@@ -15,13 +15,16 @@ The search is meet-in-the-middle (Horowitz & Sahni, JACM 1974): a point
 index answers the last interval and a latest-start table the one before
 it, so it costs O(L log L) for k = 1 (n = 1, 2) and O(L^2) for k = 2
 (n = 3, 4); each further interval (k >= 3, n = 5, 6) is an ordered,
-pruned and memoised loop over O(L^2) candidates. See burago_partition.
+pruned and memoised loop over O(L^2) candidates. Vectors are compared as
+the path's packed int keys (LatticePath.keys), which is exact for the
+vectors the search builds. See burago_partition.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import repeat
 
 from .zn import LatticePath, Vec, l1, vadd, vsub
 
@@ -82,71 +85,107 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     - Second-to-last interval (k >= 2): a table `latest` from each
       difference vector to the largest t of any pair t <= s with that
       difference, built in O(L^2). A candidate (t, s) leaves a feasible
-      last interval exactly when latest[rem'] >= s, an O(1) check, so
-      k = 2 costs O(L^2) overall.
+      last interval exactly when latest[rest] >= s, where rest = rem -
+      (points[s] - points[t]): one int sum and one lookup, so k = 2 costs
+      O(L^2) overall.
     - Earlier intervals (k >= 3): a depth-first loop over ordered (t, s),
-      pruned by an l1 budget (consecutive grid points differ by exactly 1
-      in l1, so the remaining intervals can cover at most the remaining
-      parameter range) and by a memo of infeasible (pair, position,
-      remainder) states; O(L^2) candidates per level on top of the above.
+      O(L^2) candidates per level on top of the above.
+
+    Every level before the last is pruned by an l1 budget (consecutive
+    grid points differ by exactly 1 in l1, so the intervals left after t
+    cover at most end - t) and by a memo from (pair, remainder) to the
+    least position from which that remainder is known to fail; a later
+    start only narrows the choices, so it fails too.
+
+    The search runs on the path's packed `keys`, one int per vector, so
+    a sum or a dictionary lookup costs one int operation instead of an
+    n-tuple; only the l1 budget reads remainders as vectors. Packing is
+    exact on the vectors compared: points lie in [-2L, 2L] and their
+    differences in [-4L, 4L] per coordinate; a remainder that passes the
+    l1 budget lies in [-2L, 2L], so `rest` lies in [-6L, 6L]. Any two
+    vectors compared thus differ by at most 10L < base per coordinate,
+    where equal keys mean equal vectors.
+
+    For k beyond K = floor((n+1)/2), where K intervals always exist, the
+    answer is (0, 0) repeated k - K times before the K-interval answer:
+    a (k-1)-interval solution exists, so the empty interval is the least
+    feasible first pair.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    pts = path.points
-    end = len(pts) - 1
+    pad = max(0, k - max(1, (path.n + 1) // 2))
+    pairs = k - pad
+    keys = path.keys
+    # only the l1-pruned pairs before k - 2 read the points as vectors
+    pts = path.points if pairs >= 3 else ()
+    end = len(keys) - 1
     # the lattice endpoint has even coordinates, so the halving is exact
-    target = tuple(c // 2 for c in pts[-1])
+    target = tuple(c // 2 for c in path.vector(keys[-1]))
 
-    where: dict[Vec, list[int]] = {}
-    for s, p in enumerate(pts):
-        where.setdefault(p, []).append(s)
+    where: dict[int, list[int]] = {}
+    for s, key in enumerate(keys):
+        where.setdefault(key, []).append(s)
 
-    def last(lo: int, remaining: Vec) -> tuple[int, int] | None:
+    def last(lo: int, rem: int) -> tuple[int, int] | None:
         for t in range(lo, end + 1):
-            hits = where.get(vadd(pts[t], remaining))
+            hits = where.get(keys[t] + rem)
             if hits is not None and hits[-1] >= t:
                 return t, hits[bisect_left(hits, t)]
         return None
 
-    latest: dict[Vec, int] = {}
-    if k >= 2:
-        for t in range(end, -1, -1):
-            pt = pts[t]
-            for s in range(t, end + 1):
-                latest.setdefault(vsub(pts[s], pt), t)
+    latest: dict[int, int] = {}
+    if pairs >= 2:
+        # ascending t, so the largest t of each difference is written last
+        for t in range(end + 1):
+            latest.update(zip(map(keys[t].__rsub__, keys[t:]), repeat(t)))
 
-    dead: set[tuple[int, int, Vec]] = set()
-    chosen: list[int] = []
+    dead: dict[tuple[int, int], int] = {}
+    chosen: list[int] = [0] * (2 * pad)
 
-    def search(pair: int, lo: int, remaining: Vec) -> bool:
-        if pair == k - 1:
-            hit = last(lo, remaining)
+    def search(pair: int, lo: int, remaining: Vec, rem: int) -> bool:
+        if pair == pairs - 1:  # one interval; with more, pair k - 2 places the last two
+            hit = last(lo, rem)
             if hit is None:
                 return False
             chosen.extend(hit)
             return True
-        if l1(remaining) > end - lo:
+        need = l1(remaining)
+        if need > end - lo:
             return False
-        state = (pair, lo, remaining)
-        if state in dead:
+        state = (pair, rem)
+        stop = dead.get(state, end + 1)
+        if lo >= stop:
             return False
-        for t in range(lo, end + 1):
-            # remaining - (pts[s] - pts[t]), with the sum hoisted out of the s loop
-            shifted = vadd(remaining, pts[t])
-            for s in range(t, end + 1):
-                rest = vsub(shifted, pts[s])
-                if pair == k - 2 and latest.get(rest, -1) < s:
-                    continue
-                chosen.append(t)
-                chosen.append(s)
-                if search(pair + 1, s, rest):
-                    return True
-                chosen.pop()
-                chosen.pop()
-        dead.add(state)
+        # the intervals left lie in [t, end], so they cover l1 <= end - t; rows
+        # from stop on already failed with this remainder
+        rows = range(lo, min(stop, end - need + 1))
+        if pair == pairs - 2:
+            get = latest.get
+            for t in rows:
+                shifted = rem + keys[t]
+                for s in range(t, end + 1):
+                    # rem - (keys[s] - keys[t]) must be the difference of a
+                    # pair starting at or after s
+                    if get(shifted - keys[s], -1) >= s:
+                        chosen.extend((t, s))
+                        chosen.extend(last(s, shifted - keys[s]))
+                        return True
+        else:
+            for t in rows:
+                # remaining - (pts[s] - pts[t]), with the sum hoisted out of the s loop
+                shifted = vadd(remaining, pts[t])
+                shifted_key = rem + keys[t]
+                for s in range(t, end + 1):
+                    chosen.append(t)
+                    chosen.append(s)
+                    if search(pair + 1, s, vsub(shifted, pts[s]), shifted_key - keys[s]):
+                        return True
+                    chosen.pop()
+                    chosen.pop()
+        dead[state] = lo
         return False
 
-    if not search(0, 0, target):
+    if not search(0, 0, target, keys[-1] // 2):
         raise InternalInvariantError(
             "no breakpoint tuple reaches half the displacement",
             {

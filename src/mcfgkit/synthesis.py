@@ -36,7 +36,6 @@ from .zn import (
     make_grammar,
     make_token,
     vadd,
-    vsub,
     word_to_path,
 )
 
@@ -104,7 +103,8 @@ class HalfSplit:
 
     def part_diff(self, p: int) -> Vec:
         lo, hi = self.part_span(p)
-        return vsub(self.path.points[hi], self.path.points[lo])
+        keys = self.path.keys
+        return self.path.vector(keys[hi] - keys[lo])
 
     def part_word(self, p: int) -> Word:
         lo, hi = self.part_span(p)
@@ -181,24 +181,29 @@ def _normalize(half: HalfSplit, prefer_large: bool) -> HalfSplit:
     return half
 
 
-def refine_and_split(x: tuple[Word, ...], n: int, k: int) -> RefinedSplit:
+def refine_and_split(x: tuple[Word, ...], n: int, k: int,
+                     left_path: LatticePath | None = None) -> RefinedSplit:
     """Cut both halves at their breakpoints, refined by component cuts.
 
     Requires a zero-displacement tuple whose halves displace nonzero
     (equivalently: either half, since they cancel). The left member set
     S keeps the larger side, the right member set T the smaller, so the
-    slot counts of the eventual y and z both fit within m.
+    slot counts of the eventual y and z both fit within m. left_path is
+    the left half's path when the caller has traced it already.
     """
     m = len(x)
     if m % 2:
         raise ValueError(f"tuple width must be even, got {m}")
     h1 = _flatten(x[: m // 2])
     h2 = _flatten(x[m // 2 :])
-    p1, p2 = word_to_path(h1, n), word_to_path(h2, n)
-    whole = tuple(c // 2 for c in vadd(p1.points[-1], p2.points[-1]))
+    p1 = word_to_path(h1, n) if left_path is None else left_path
+    p2 = word_to_path(h2, n)
+    # the halves' keys use different bases, so compare them as vectors
+    end1 = p1.vector(p1.keys[-1])
+    whole = tuple(c // 2 for c in vadd(end1, p2.vector(p2.keys[-1])))
     if any(whole):
         raise ValueError(f"tuple displacement must be zero, got {whole}")
-    if not any(p1.points[-1]):
+    if not any(end1):
         raise ValueError("both halves must have nonzero displacement")
     left = _normalize(_split_half(h1, p1, x[: m // 2], k), prefer_large=True)
     right = _normalize(_split_half(h2, p2, x[m // 2 :], k), prefer_large=False)
@@ -485,8 +490,9 @@ class _Synthesizer:
             return self.base(x)
         h1 = _flatten(x[: m // 2])
         h2 = _flatten(x[m // 2 :])
-        if any(displacement(h1, self.n)):
-            split = lift_to_lattice(refine_and_split(x, self.n, k))
+        left_path = word_to_path(h1, self.n)
+        if left_path.keys[-1]:  # packs the displacement; 0 exactly when it is zero
+            split = lift_to_lattice(refine_and_split(x, self.n, k, left_path))
             yz = make_yz(split)
             iy = self.synth(yz.y)
             iz = self.synth(yz.z)

@@ -8,6 +8,13 @@ coordinates even) and edge midpoints at odd p (exactly one odd coordinate).
 Every path starts at the origin and is read through its `points` (indexed
 by p, so `points[-1]` is the doubled displacement) and its `steps`.
 
+Hot loops read a path through its `keys` instead: each doubled point
+packed into one int, sum(c[i] * base**i) with base a power of two above
+10L, built in C by accumulating per-step increments. Packing is linear,
+so differences of keys are keys of differences, and it is injective on
+vectors whose coordinates differ by less than base; `vector` unpacks a
+key whose coordinates lie within base/2 of zero.
+
 Words decode through a per-rank table from each of the 2n tokens to its
 (axis, sign); a word with a token outside it goes through the per-token
 parser instead, which names the first bad token.
@@ -19,6 +26,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from .grammar import CombineSchema, Grammar, Rule, Word, term, var
@@ -89,6 +97,13 @@ def displacement(word: Word, n: int) -> Vec:
     return tuple(counts[axis, 1] - counts[axis, -1] for axis in range(1, n + 1))
 
 
+@lru_cache(maxsize=None)
+def _key_steps(n: int, base: int) -> dict[tuple[int, int], int]:
+    """The packed increment of one half-unit along each (axis, sign) of rank n."""
+    return {(axis, sign): sign * base ** (axis - 1)
+            for axis in range(1, n + 1) for sign in (1, -1)}
+
+
 def vadd(u: Vec, v: Vec) -> Vec:
     return tuple(a + b for a, b in zip(u, v))
 
@@ -127,6 +142,34 @@ class LatticePath:
                 cur[axis - 1] += sign
                 pts.append(tuple(cur))
         return tuple(pts)
+
+    @property
+    def base(self) -> int:
+        """The packing base of `keys`: the least power of two above 10L.
+
+        Points have coordinates in [-2L, 2L]; the breakpoint search
+        compares vectors that differ by up to 10L per coordinate.
+        """
+        return 1 << (10 * len(self.steps)).bit_length()
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        """Doubled points at every half-unit parameter 0..2L, each packed into one int."""
+        table = _key_steps(self.n, self.base)
+        deltas = list(map(table.__getitem__, self.steps))
+        return tuple(accumulate(chain.from_iterable(zip(deltas, deltas)), initial=0))
+
+    def vector(self, key: int) -> Vec:
+        """The vector packed into key; its coordinates must lie in [-base/2, base/2)."""
+        base = self.base
+        out = []
+        for _ in range(self.n):
+            c = key % base
+            if 2 * c >= base:
+                c -= base
+            out.append(c)
+            key = (key - c) // base
+        return tuple(out)
 
     def step_at(self, p: int) -> tuple[int, int]:
         """The (axis, sign) of the edge whose interior contains odd parameter p."""

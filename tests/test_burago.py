@@ -14,6 +14,7 @@ from mcfgkit import (
     SegmentPartition,
     burago_partition,
     grammar_params,
+    make_token,
     vadd,
     word_to_path,
 )
@@ -141,3 +142,29 @@ def test_breakpoints_match_brute_force_lex_min():
                 else:
                     assert burago_partition(path, k).breakpoints == expected, path.steps
     assert failures  # the failure path is exercised, not only the hits
+
+
+def straight_lines(n, length):
+    """Paths of `length` steps that never turn back: all on axis 1, all
+    backwards on axis n, and runs along axes 1..n of alternating sign."""
+    runs = [length // n + (axis <= length % n) for axis in range(1, n + 1)]
+    yield ("a1",) * length
+    yield (make_token(n, -1),) * length
+    yield tuple(make_token(axis, (-1) ** (axis + 1))
+                for axis, run in enumerate(runs, 1) for _ in range(run))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_breakpoints_on_straight_lines_at_base_boundaries(n):
+    # coordinates reach +-2L, so packing is tightest just below a length where
+    # 10L crosses a power of two; the lengths on either side have different bases
+    k = grammar_params(n).k
+    lengths = {1: (51, 52), 2: (12, 13), 3: (6, 7)}[k]  # the brute force grows as L^(2k)
+    bases = set()
+    for length in lengths:
+        for word in straight_lines(n, length):
+            path = word_to_path(word, n)
+            bases.add(path.base)
+            assert [path.vector(key) for key in path.keys] == list(path.points)
+            assert burago_partition(path, k).breakpoints == lex_min_reference(path, k), word
+    assert len(bases) == 2

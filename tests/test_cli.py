@@ -259,6 +259,15 @@ def test_burago_interval_count_override(capsys):
     assert len(json.loads(out)["breakpoints"]) == 4
 
 
+def test_burago_many_intervals_pad_with_empty_ones(capsys):
+    # k far beyond the rank's k must not recurse k deep
+    code, out, _ = run_out(
+        capsys, ["burago", "--n", "1", "--word", "a1 a1", "--k", "5000", "--json"]
+    )
+    assert code == 0
+    assert json.loads(out)["breakpoints"] == [0] * 9998 + [0, 2]
+
+
 def test_xcheck_exhaustive_small(capsys):
     code, out, _ = run_out(capsys, ["xcheck", "--n", "1", "--max-len", "4", "--json"])
     assert code == 0

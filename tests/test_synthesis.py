@@ -200,16 +200,36 @@ def test_lift_moves_boundaries_onto_the_lattice(n, data):
 def test_each_split_decodes_each_half_once(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
-    calls = Counter()
+    decoded = Counter()
+    expected = Counter()
+    split = mcfgkit.synthesis.refine_and_split
+    synth = mcfgkit.synthesis._Synthesizer.synth
+
+    def counted_synth(self, x):
+        if sum(map(len, x)) > m:
+            expected[flatten(x[: m // 2])] += 1
+        return synth(self, x)
+
+    def counted_split(x, n, k, left_path=None):
+        expected[flatten(x[m // 2 :])] += 1
+        return split(x, n, k, left_path)
+
     with pytest.MonkeyPatch.context() as mp:
         for name in ("word_to_path", "displacement"):
-            def counted(*args, original=getattr(mcfgkit.synthesis, name), name=name):
-                calls[name] += 1
-                return original(*args)
+            def counted(word, n, original=getattr(mcfgkit.synthesis, name)):
+                decoded[word] += 1
+                return original(word, n)
 
             mp.setattr(mcfgkit.synthesis, name, counted)
-        lifted = lift_to_lattice(mcfgkit.synthesis.refine_and_split(x, n, k))
-    assert calls == {"word_to_path": 2}
+        lifted = lift_to_lattice(split(x, n, k))
+        assert decoded == Counter((flatten(x[: m // 2]), flatten(x[m // 2 :])))
+        # through the recursion, the branch test decodes the left half of every
+        # tuple past the base case, and a split decodes only the right half more
+        decoded.clear()
+        mp.setattr(mcfgkit.synthesis._Synthesizer, "synth", counted_synth)
+        mp.setattr(mcfgkit.synthesis, "refine_and_split", counted_split)
+        mcfgkit.synthesis._Synthesizer(make_grammar(n)).synth(x)
+    assert decoded == expected
     for half, comps in ((lifted.left, x[: m // 2]), (lifted.right, x[m // 2 :])):
         assert half.word == flatten(comps)
         assert flatten(tuple(map(half.part_word, range(half.part_count)))) == half.word

@@ -122,6 +122,21 @@ def test_path_points_are_doubled_half_units():
     assert path.step_at(3) == (2, -1)
 
 
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(alphabet(n)), max_size=60))))
+def test_keys_pack_the_points(case):
+    n, word = case
+    path = word_to_path(tuple(word), n)
+    keys, points = path.keys, path.points
+    assert path.base > 10 * len(path)
+    assert len(keys) == len(points)
+    assert [path.vector(key) for key in keys] == list(points)
+    # packing is linear: a difference of keys unpacks to the difference of points
+    for t, s in ((0, len(keys) - 1), (len(keys) // 3, 2 * len(keys) // 3)):
+        assert path.vector(keys[s] - keys[t]) == vsub(points[s], points[t])
+        assert path.vector(keys[t] - keys[s]) == vsub(points[t], points[s])
+
+
 def test_path_parameter_validation():
     path = word_to_path(("a1",), 1)
     with pytest.raises(ValueError):
