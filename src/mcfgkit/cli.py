@@ -8,6 +8,7 @@ errors, malformed files, internal invariant failures, or xcheck mismatches.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -252,7 +253,10 @@ _WORD = ("--word", {"required": True,
 _JSON = ("--json", {"action": "store_true", "help": "emit a machine-readable JSON payload"})
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept: it holds no per-call state,
+    since argparse formats usage at print time and parses into a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="mcfgkit",
         description="Derivation tools for the zero-displacement word languages.",

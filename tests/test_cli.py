@@ -26,6 +26,7 @@ from mcfgkit import (
     make_grammar,
     synthesize_word,
 )
+from mcfgkit import cli
 from mcfgkit.cli import DEFAULT_SEED, main, run
 
 from conftest import make_abcd_grammar
@@ -570,6 +571,53 @@ def test_bench_tracer_sites_resolve(monkeypatch):
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_one_parser_serves_every_call(tmp_path, monkeypatch, capsys):
+    # run builds its parser once per process; no option or error may carry
+    # over from one call to the next
+    monkeypatch.setenv("COLUMNS", "80")
+    word = "a1 a2 A1 A2 a1 A1"
+    target = str(tmp_path / "out.json")
+    usage_error = ["check", "--n", "0", "--word", "a1"]
+    sequence = [
+        usage_error,
+        ["--help"],
+        ["derive", "--n", "2", "--word", word, "--out", target],
+        ["derive", "--n", "2", "--word", word],
+        usage_error,
+    ]
+    fresh = []
+    for argv in sequence:
+        cli._build_parser.cache_clear()
+        fresh.append(run_out(capsys, argv))
+
+    cli._build_parser.cache_clear()
+    parser = cli._build_parser()
+    assert [run_out(capsys, argv) for argv in sequence] == fresh
+    assert cli._build_parser() is parser
+    assert cli._build_parser() is cli._build_parser()
+
+    derivation = synthesize_word(tuple(word.split()), 2)
+    assert fresh[3] == (0, dumps_derivation(derivation), "")
+    assert fresh[2] == (0, f"wrote {len(derivation)} steps to {target}\n", "")
+    assert fresh[0][0] == 2 and fresh[0][2].endswith("argument --n: dimension must be >= 1\n")
+    assert fresh[1][0] == 0 and fresh[1][1].startswith("usage: mcfgkit [-h]")
+
+
+def test_usage_wraps_to_the_current_terminal_width(monkeypatch, capsys):
+    # argparse sizes its formatter when it prints, so a kept parser still
+    # follows COLUMNS from call to call
+    argv = ["verify", "--derivation", "x.json"]
+    error = "mcfgkit verify: error: one of the arguments --n --grammar is required\n"
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_out(capsys, argv) == (2, "", (
+        "usage: mcfgkit verify [-h] (--n N | --grammar GRAMMAR) --derivation DERIVATION\n"
+        "                      [--word WORD] [--json]\n" + error))
+    monkeypatch.setenv("COLUMNS", "200")
+    assert run_out(capsys, argv) == (2, "", (
+        "usage: mcfgkit verify [-h] (--n N | --grammar GRAMMAR) --derivation DERIVATION "
+        "[--word WORD] [--json]\n" + error))
 
 
 def test_main_raises_system_exit(monkeypatch, capsys):
