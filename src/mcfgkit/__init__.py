@@ -58,7 +58,6 @@ from .zn import (
     Vec,
     alphabet,
     displacement,
-    format_word,
     grammar_params,
     l1,
     make_grammar,
@@ -102,7 +101,6 @@ __all__ = [
     "displacement",
     "dumps_derivation",
     "dumps_grammar",
-    "format_word",
     "grammar_from_json_dict",
     "grammar_params",
     "grammar_to_json_dict",

@@ -40,10 +40,18 @@ DEFAULT_SEED = 2026
 
 
 def _tokenize(text: str, terminals: Sequence[str]) -> Word:
-    """Split on whitespace, then greedily match the longest terminal."""
-    ordered = sorted(set(terminals), key=len, reverse=True)
+    """Split on whitespace, then greedily match the longest terminal.
+
+    A chunk that is a terminal is one token, as the greedy match would
+    make it. The empty terminal never matches: it would not advance.
+    """
+    whole = set(terminals)
+    ordered = sorted(whole - {""}, key=len, reverse=True)
     tokens: list[str] = []
     for chunk in text.split():
+        if chunk in whole:
+            tokens.append(chunk)
+            continue
         i = 0
         while i < len(chunk):
             for t in ordered:

@@ -1,7 +1,9 @@
 """Constructive derivation synthesis for the zero-displacement grammars.
 
-The synthesizer turns a zero-displacement word into a checked derivation
-by recursing on the total length of an m-tuple of subwords:
+The synthesizer turns a zero-displacement word w into a checked
+derivation by recursing on the total length of an m-tuple of factors of
+w, each carried as a (start, end) token span of w. w is traced once, and
+every displacement test is an int difference of that path's keys:
 
   * small tuples (total length <= m) get an explicit base construction;
   * when both concatenated halves displace, each half-path is split at
@@ -13,16 +15,20 @@ by recursing on the total length of an m-tuple of subwords:
     split in two directly (or re-cut first when one half carries no
     tokens at all, so that the next level strictly descends).
 
-All geometry runs in doubled integer coordinates on the half-unit
-parameter grid; no floating point is involved anywhere.
+Cuts never cross a component, re-cutting keeps every original cut and
+padding adds only empty components, so every component stays a span of
+w; tokens are read off w only for the start rule. All geometry runs in
+doubled integer coordinates on the half-unit parameter grid; no floating
+point is involved anywhere.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Iterator
+from itertools import accumulate, chain
+from typing import Iterable, Iterator
 
 from .burago import InternalInvariantError, burago_partition
 from .derivation import Derivation, RuleInstance, apply_blocking
@@ -30,31 +36,25 @@ from .grammar import Blocking, Grammar, Word, instantiate
 from .zn import (
     LatticePath,
     Vec,
-    _decode,
     displacement,
     grammar_params,
     make_grammar,
-    make_token,
     vadd,
     word_to_path,
 )
 
-
-def _flatten(x: tuple[Word, ...]) -> Word:
-    out: list[str] = []
-    for comp in x:
-        out.extend(comp)
-    return tuple(out)
+Span = tuple[int, int]
 
 
-def _cut_params(parts: tuple[Word, ...]) -> tuple[int, ...]:
+def _consecutive(sizes: Iterable[int]) -> tuple[Span, ...]:
+    """Spans of consecutive components of the given sizes, from token 0."""
+    ends = tuple(accumulate(sizes, initial=0))
+    return tuple(zip(ends, ends[1:]))
+
+
+def _cut_params(spans: tuple[Span, ...]) -> tuple[int, ...]:
     """Internal component boundaries as doubled parameters, multiplicity kept."""
-    cuts = []
-    pos = 0
-    for comp in parts[:-1]:
-        pos += 2 * len(comp)
-        cuts.append(pos)
-    return tuple(cuts)
+    return tuple(accumulate(2 * (e - s) for s, e in spans[:-1]))
 
 
 def _owner_component(full_cuts: tuple[int, ...], hi: int) -> int:
@@ -79,17 +79,18 @@ def _pad_to_last(blocks: list[list[int]], total_slots: int) -> Blocking:
 class HalfSplit:
     """One concatenated half, cut into parts on the half-unit grid.
 
-    word is the half's tokens, path its lattice path, and every part word
-    a slice of word. boundaries has len(parts)+1 sorted parameters
-    starting at 0 and ending at 2L; members holds the 0-based part indices
-    on the chosen side of the balance condition (S for the left half, T
-    for the right).
+    spans are the half's components as (start, end) token spans of the
+    input word, and path the half's own lattice path: those spans' steps
+    in order, with its own packing base. boundaries has len(parts)+1
+    sorted parameters of path starting at 0 and ending at 2L; members
+    holds the 0-based part indices on the chosen side of the balance
+    condition (S for the left half, T for the right).
     component_cuts are the even parameters of the original component
     boundaries, with multiplicity, and appear among boundaries verbatim.
     """
 
     path: LatticePath
-    word: Word
+    spans: tuple[Span, ...]
     component_cuts: tuple[int, ...]
     boundaries: tuple[int, ...]
     members: frozenset[int]
@@ -106,12 +107,6 @@ class HalfSplit:
         keys = self.path.keys
         return self.path.vector(keys[hi] - keys[lo])
 
-    def part_word(self, p: int) -> Word:
-        lo, hi = self.part_span(p)
-        if lo % 2 or hi % 2:
-            raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
-        return self.word[lo // 2 : hi // 2]
-
 
 @dataclass(frozen=True)
 class RefinedSplit:
@@ -122,7 +117,7 @@ class RefinedSplit:
 
     @property
     def m(self) -> int:
-        return 2 * (len(self.left.component_cuts) + 1)
+        return 2 * len(self.left.spans)
 
     def condition_sum(self) -> Vec:
         """Sum of doubled part differences over S and T; zero when balanced."""
@@ -135,28 +130,30 @@ class RefinedSplit:
 
 @dataclass(frozen=True)
 class YZSplit:
-    """Two m-tuples plus the blocking that reassembles the original one."""
+    """Two m-tuples of spans plus the blocking that reassembles the original one."""
 
-    y: tuple[Word, ...]
-    z: tuple[Word, ...]
+    y: tuple[Span, ...]
+    z: tuple[Span, ...]
     blocking: Blocking
 
 
-def _split_half(word: Word, path: LatticePath, comps: tuple[Word, ...], k: int) -> HalfSplit:
+def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int) -> HalfSplit:
     """Refine one half by its component cuts and its breakpoint partition.
 
-    Merging keeps multiplicity; at equal parameters component cuts come
-    first and breakpoints follow in their own order (t before s), fixing
-    which empty parts count as inside a segment. Parts between an odd
-    number of passed breakpoints lie inside the segments, and those form
-    the initial member set.
+    The half's search path is its spans' steps sliced off the word's path,
+    with keys packed at its own, narrower base. Merging keeps multiplicity;
+    at equal parameters component cuts come first and breakpoints follow
+    in their own order (t before s), fixing which empty parts count as
+    inside a segment. Parts between an odd number of passed breakpoints
+    lie inside the segments, and those form the initial member set.
     """
-    partition = burago_partition(path, k)
-    cuts = _cut_params(comps)
+    half = LatticePath(path.n, tuple(chain.from_iterable(path.steps[s:e] for s, e in spans)))
+    partition = burago_partition(half, k)
+    cuts = _cut_params(spans)
     merged: list[tuple[int, int]] = sorted(
         [(c, 0) for c in cuts] + [(b, 1) for b in partition.breakpoints]
     )
-    boundaries = (0,) + tuple(v for v, _ in merged) + (2 * len(path),)
+    boundaries = (0,) + tuple(v for v, _ in merged) + (2 * len(half),)
     members = set()
     passed = 0
     for p in range(len(boundaries) - 1):
@@ -164,7 +161,7 @@ def _split_half(word: Word, path: LatticePath, comps: tuple[Word, ...], k: int) 
             passed += 1
         if passed % 2 == 1:
             members.add(p)
-    return HalfSplit(path, word, cuts, boundaries, frozenset(members))
+    return HalfSplit(half, spans, cuts, boundaries, frozenset(members))
 
 
 def _normalize(half: HalfSplit, prefer_large: bool) -> HalfSplit:
@@ -181,32 +178,27 @@ def _normalize(half: HalfSplit, prefer_large: bool) -> HalfSplit:
     return half
 
 
-def refine_and_split(x: tuple[Word, ...], n: int, k: int,
-                     left_path: LatticePath | None = None) -> RefinedSplit:
+def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedSplit:
     """Cut both halves at their breakpoints, refined by component cuts.
 
-    Requires a zero-displacement tuple whose halves displace nonzero
-    (equivalently: either half, since they cancel). The left member set
-    S keeps the larger side, the right member set T the smaller, so the
-    slot counts of the eventual y and z both fit within m. left_path is
-    the left half's path when the caller has traced it already.
+    x holds m disjoint (start, end) token spans of the word traced as
+    path. Requires a zero-displacement tuple whose halves displace
+    nonzero (equivalently: either half, since they cancel). The left
+    member set S keeps the larger side, the right member set T the
+    smaller, so the slot counts of the eventual y and z both fit within m.
     """
     m = len(x)
     if m % 2:
         raise ValueError(f"tuple width must be even, got {m}")
-    h1 = _flatten(x[: m // 2])
-    h2 = _flatten(x[m // 2 :])
-    p1 = word_to_path(h1, n) if left_path is None else left_path
-    p2 = word_to_path(h2, n)
-    # the halves' keys use different bases, so compare them as vectors
-    end1 = p1.vector(p1.keys[-1])
-    whole = tuple(c // 2 for c in vadd(end1, p2.vector(p2.keys[-1])))
-    if any(whole):
+    keys = path.keys
+    ends = [keys[2 * e] - keys[2 * s] for s, e in x]
+    if sum(ends):
+        whole = tuple(c // 2 for c in path.vector(sum(ends)))
         raise ValueError(f"tuple displacement must be zero, got {whole}")
-    if not any(end1):
+    if not sum(ends[: m // 2]):
         raise ValueError("both halves must have nonzero displacement")
-    left = _normalize(_split_half(h1, p1, x[: m // 2], k), prefer_large=True)
-    right = _normalize(_split_half(h2, p2, x[m // 2 :], k), prefer_large=False)
+    left = _normalize(_split_half(path, x[: m // 2], k), prefer_large=True)
+    right = _normalize(_split_half(path, x[m // 2 :], k), prefer_large=False)
     return RefinedSplit(left, right)
 
 
@@ -311,51 +303,52 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
 
 
 def make_yz(split: RefinedSplit) -> YZSplit:
-    """Read the two m-tuples off a lattice-aligned split.
+    """Read the two m-tuples of spans off a lattice-aligned split.
 
     y takes the member parts (S in path order, then T), z the rest,
-    each padded with empty words to width m. The blocking lists, for
-    every original component, the slots of its parts in path order;
-    slots that carry padding join the final block.
+    each padded with empty spans to width m. A part lies inside one
+    component, so one owner lookup gives both its span of the input word
+    and its block: the blocking lists, for every original component, the
+    slots of its parts in path order; slots that carry padding join the
+    final block.
     """
     m = split.m
-    slot_of: dict[tuple[int, int], int] = {}
-    y: list[Word] = []
-    z: list[Word] = []
+    y: list[Span] = []
+    z: list[Span] = []
+    blocks: list[list[int]] = [[] for _ in range(m)]
     for h, half in enumerate((split.left, split.right)):
+        ladder = (0,) + half.component_cuts + (2 * len(half.path),)
         for p in range(half.part_count):
+            lo, hi = half.part_span(p)
+            if lo % 2 or hi % 2:
+                raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
+            comp = _owner_component(ladder, hi)
+            start = half.spans[comp - 1][0] - ladder[comp - 1] // 2
+            span = (start + lo // 2, start + hi // 2)
             if p in half.members:
-                y.append(half.part_word(p))
-                slot_of[(h, p)] = len(y)
-    for h, half in enumerate((split.left, split.right)):
-        for p in range(half.part_count):
-            if p not in half.members:
-                z.append(half.part_word(p))
-                slot_of[(h, p)] = m + len(z)
+                y.append(span)
+                slot = len(y)
+            else:
+                z.append(span)
+                slot = m + len(z)
+            blocks[h * m // 2 + comp - 1].append(slot)
     if len(y) > m or len(z) > m:
         raise InternalInvariantError(
             "side exceeds the slot budget", {"y": len(y), "z": len(z), "m": m}
         )
-    y.extend(() for _ in range(m - len(y)))
-    z.extend(() for _ in range(m - len(z)))
-
-    blocks: list[list[int]] = [[] for _ in range(m)]
-    for h, half in enumerate((split.left, split.right)):
-        ladder = (0,) + half.component_cuts + (2 * len(half.path),)
-        offset = 0 if h == 0 else m // 2
-        for p in range(half.part_count):
-            comp = offset + _owner_component(ladder, half.part_span(p)[1])
-            blocks[comp - 1].append(slot_of[(h, p)])
+    y.extend((0, 0) for _ in range(m - len(y)))
+    z.extend((0, 0) for _ in range(m - len(z)))
     return YZSplit(tuple(y), tuple(z), _pad_to_last(blocks, 2 * m))
 
 
 class _Synthesizer:
-    """One synthesis run: grammar, sizes, emitted steps and axiom reuse."""
+    """One synthesis run: grammar, the word traced once, emitted steps and axiom reuse."""
 
-    def __init__(self, g: Grammar):
+    def __init__(self, g: Grammar, w: Word):
         self.g = g
         self.n = len(g.terminals) // 2
         self.params = grammar_params(self.n)
+        self.path = word_to_path(w, self.n)
         self.steps: list[RuleInstance] = []
         self._axioms: dict[int, int] = {}
 
@@ -387,7 +380,7 @@ class _Synthesizer:
             )
         )
 
-    def base(self, x: tuple[Word, ...]) -> int:
+    def base(self, x: tuple[Span, ...]) -> int:
         """Direct construction for total length <= m.
 
         Tokens pair up with inverse occurrences (leftmost first); each
@@ -397,17 +390,18 @@ class _Synthesizer:
         letters into the requested components.
         """
         m = self.params.m
-        tokens = _flatten(x)
-        if not tokens:
+        steps = list(chain.from_iterable(self.path.steps[s:e] for s, e in x))
+        if not steps:
             return self.axiom(1)
         # rule order fixed by make_grammar: start rule, empty axiom, per-axis axioms
-        for axis in range(1, self.n + 1):
-            if x == ((make_token(axis, 1),), (make_token(axis, -1),)) + ((),) * (m - 2):
-                return self.axiom(1 + axis)
+        axis = steps[0][0]
+        if (steps == [(axis, 1), (axis, -1)]
+                and [e - s for s, e in x] == [1, 1] + [0] * (m - 2)):
+            return self.axiom(1 + axis)
 
         pending: dict[tuple[int, int], deque[int]] = {}
         pairs: list[tuple[int, int, int]] = []
-        for pos, (axis, sign) in enumerate(_decode(tokens, self.n)):
+        for pos, (axis, sign) in enumerate(steps):
             queue = pending.setdefault((axis, -sign), deque())
             if queue:
                 partner = queue.popleft()
@@ -434,24 +428,24 @@ class _Synthesizer:
         empty = self.axiom(1)
         blocks = [[] for _ in range(m)]
         pos = 0
-        for i, comp in enumerate(x):
-            for _ in comp:
+        for i, (s, e) in enumerate(x):
+            for _ in range(s, e):
                 blocks[i].append(slot_of[pos])
                 pos += 1
         return self.combine(acc, empty, _pad_to_last(blocks, 2 * m))
 
-    def halve(self, x: tuple[Word, ...]) -> int:
+    def halve(self, x: tuple[Span, ...]) -> int:
         """Both halves displace zero and carry tokens: recurse on each."""
         m = self.params.m
         half = m // 2
-        pad = ((),) * half
+        pad = ((0, 0),) * half
         il = self.synth(x[:half] + pad)
         ir = self.synth(x[half:] + pad)
         blocks = [[i] for i in range(1, half + 1)]
         blocks += [[m + i] for i in range(1, half + 1)]
         return self.combine(il, ir, _pad_to_last(blocks, 2 * m))
 
-    def rebalance(self, x: tuple[Word, ...]) -> int:
+    def rebalance(self, x: tuple[Span, ...]) -> int:
         """Re-cut a lopsided tuple so every component is nonempty.
 
         Used when one half carries no tokens at all, where halving
@@ -460,57 +454,58 @@ class _Synthesizer:
         largest gap until all m components are nonempty; recursion on
         the re-cut tuple therefore strictly descends at the next level,
         and one combine against the empty axiom regroups the result.
+        Each re-cut piece narrows the one nonempty component holding it,
+        found by bisect_right on the size ladder (empty components repeat
+        ladder entries).
         """
         m = self.params.m
-        tokens = _flatten(x)
-        ladder = [0]
-        pos = 0
-        for comp in x:
-            pos += len(comp)
-            ladder.append(pos)
+        ladder = list(accumulate((e - s for s, e in x), initial=0))
         distinct = sorted(set(ladder))
         while len(distinct) < m + 1:
             widths = [b - a for a, b in zip(distinct, distinct[1:])]
             at = widths.index(max(widths))
             distinct.insert(at + 1, (distinct[at] + distinct[at + 1]) // 2)
-        recut = tuple(
-            tokens[a:b] for a, b in zip(distinct, distinct[1:])
-        )
-        inner = self.synth(recut)
-        empty = self.axiom(1)
+        recut: list[Span] = []
         blocks: list[list[int]] = [[] for _ in range(m)]
-        for slot in range(1, m + 1):
-            comp = _owner_component(tuple(ladder), distinct[slot])
+        for slot, (a, b) in enumerate(zip(distinct, distinct[1:]), start=1):
+            comp = bisect_right(ladder, a)
+            shift = x[comp - 1][0] - ladder[comp - 1]
+            recut.append((shift + a, shift + b))
             blocks[comp - 1].append(slot)
+        inner = self.synth(tuple(recut))
+        empty = self.axiom(1)
         return self.combine(inner, empty, _pad_to_last(blocks, 2 * m))
 
-    def synth(self, x: tuple[Word, ...]) -> int:
+    def synth(self, x: tuple[Span, ...]) -> int:
         k, m = self.params
-        if sum(len(c) for c in x) <= m:
+        if sum(e - s for s, e in x) <= m:
             return self.base(x)
-        h1 = _flatten(x[: m // 2])
-        h2 = _flatten(x[m // 2 :])
-        left_path = word_to_path(h1, self.n)
-        if left_path.keys[-1]:  # packs the displacement; 0 exactly when it is zero
-            split = lift_to_lattice(refine_and_split(x, self.n, k, left_path))
-            yz = make_yz(split)
+        keys = self.path.keys
+        # packs the left half's displacement; 0 exactly when it is zero
+        if sum(keys[2 * e] - keys[2 * s] for s, e in x[: m // 2]):
+            yz = make_yz(lift_to_lattice(refine_and_split(self.path, x, k)))
             iy = self.synth(yz.y)
             iz = self.synth(yz.z)
             return self.combine(iy, iz, yz.blocking)
-        if h1 and h2:
+        if any(e > s for s, e in x[: m // 2]) and any(e > s for s, e in x[m // 2 :]):
             return self.halve(x)
         return self.rebalance(x)
 
 
 def synthesize(x: tuple[Word, ...], g: Grammar) -> Derivation:
-    """Derivation of I(x) for any zero-displacement m-tuple of g's rank."""
-    syn = _Synthesizer(g)
-    m = syn.params.m
+    """Derivation of I(x) for any zero-displacement m-tuple of g's rank.
+
+    The components are carried as consecutive spans of their concatenation.
+    """
+    n = len(g.terminals) // 2
+    m = grammar_params(n).m
     if len(x) != m:
         raise ValueError(f"expected an {m}-tuple, got {len(x)} components")
-    if any(displacement(_flatten(x), syn.n)):
+    w = tuple(chain.from_iterable(x))
+    if any(displacement(w, n)):
         raise ValueError("tuple displacement must be zero")
-    syn.synth(x)
+    syn = _Synthesizer(g, w)
+    syn.synth(_consecutive(map(len, x)))
     return Derivation(tuple(syn.steps))
 
 
@@ -518,26 +513,16 @@ def synthesize_word(w: Word, n: int) -> Derivation | None:
     """Full derivation of S(w), or None when w displaces nonzero.
 
     Non-membership is an answer, not an error. The word is spread over
-    the m components (one token each while it fits, else contiguous
-    near-equal chunks) and the tuple derivation gets the one start-rule
-    step on top.
+    the m components in contiguous near-equal chunks (one token each
+    while it fits, then empty ones) and the tuple derivation gets the one
+    start-rule step on top.
     """
     if any(displacement(w, n)):
         return None
-    syn = _Synthesizer(make_grammar(n))
+    syn = _Synthesizer(make_grammar(n), w)
     m = syn.params.m
-    if len(w) <= m:
-        x = tuple((t,) for t in w) + ((),) * (m - len(w))
-    else:
-        share, extra = divmod(len(w), m)
-        sizes = [share + (1 if i < extra else 0) for i in range(m)]
-        x = []
-        pos = 0
-        for size in sizes:
-            x.append(w[pos : pos + size])
-            pos += size
-        x = tuple(x)
+    share, extra = divmod(len(w), m)
+    x = _consecutive(share + (i < extra) for i in range(m))
     top = syn.synth(x)
-    subst = {f"x{i + 1}": x[i] for i in range(m)}
-    syn.concrete(0, subst, (top,))
+    syn.concrete(0, {f"x{i + 1}": tuple(w[s:e]) for i, (s, e) in enumerate(x)}, (top,))
     return Derivation(tuple(syn.steps))

@@ -57,10 +57,6 @@ def parse_word(text: str) -> Word:
     return tokens
 
 
-def format_word(word: Word) -> str:
-    return " ".join(word)
-
-
 def alphabet(n: int) -> tuple[str, ...]:
     """Terminals a1, A1, ..., an, An in declaration order."""
     out: list[str] = []

@@ -40,9 +40,9 @@ def split_ks(monkeypatch) -> list[int]:
     """Records the k of every refine_and_split call the synthesizer makes."""
     seen: list[int] = []
 
-    def counting_split(x, n, k, left_path=None):
+    def counting_split(path, x, k):
         seen.append(k)
-        return refine_and_split(x, n, k, left_path)
+        return refine_and_split(path, x, k)
 
     monkeypatch.setattr("mcfgkit.synthesis.refine_and_split", counting_split)
     return seen

@@ -22,7 +22,6 @@ from mcfgkit import (
     check_derivation,
     displacement,
     dumps_derivation,
-    format_word,
     grammar_params,
     loads_derivation,
     make_grammar,
@@ -360,7 +359,7 @@ def test_derivation_file_round_trips(tmp_path, capsys):
         rng = random.Random(77 + n)
         for i in range(100):
             w = random_zero_displacement_word(rng, n, 20)
-            text = format_word(w)
+            text = " ".join(w)
             target = tmp_path / f"derivation_{n}_{i}.json"
             if run(["derive", "--n", str(n), "--word", text, "--out", str(target)]) != 0:
                 problems.append(f"n={n} {text!r}: derive failed")

@@ -15,8 +15,10 @@ import pytest
 
 from mcfgkit import (
     Derivation,
+    Grammar,
     Instance,
     InternalInvariantError,
+    Rule,
     RuleInstance,
     check_derivation,
     dumps_derivation,
@@ -25,6 +27,7 @@ from mcfgkit import (
     loads_grammar,
     make_grammar,
     synthesize_word,
+    term,
 )
 from mcfgkit import cli
 from mcfgkit.cli import DEFAULT_SEED, main, run
@@ -84,6 +87,26 @@ def test_tokenizer_rejects_foreign_text(capsys):
     code, _, err = run_out(capsys, ["check", "--n", "1", "--word", "a1 b2"])
     assert code == 2
     assert "cannot tokenize" in err
+
+
+@pytest.mark.parametrize("word, code, err", [
+    ("b", 2, "error: cannot tokenize 'b': no terminal matches\n"),
+    ("a ab", 2, "error: cannot tokenize 'b': no terminal matches\n"),
+    ("a", 0, ""),
+])
+def test_tokenizer_never_matches_the_empty_terminal(tmp_path, word, code, err):
+    # an empty terminal matches without advancing; run in a child process with a
+    # short timeout so that a tokenizer spinning on it fails instead of hanging
+    g = Grammar(terminals=("a", ""), nonterminals=(("S", 1),), start="S",
+                rules=(Rule("S", ((term("a"),),)),))
+    grammar = tmp_path / "g.json"
+    grammar.write_text(dumps_grammar(g), encoding="utf-8")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "mcfgkit.cli", "recognize", "--grammar", str(grammar),
+         "--word", word], cwd=root, env=env, capture_output=True, text=True, timeout=5)
+    assert (proc.returncode, proc.stderr) == (code, err)
 
 
 def test_derive_writes_checkable_derivation_to_stdout(capsys):

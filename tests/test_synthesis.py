@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -16,6 +19,7 @@ from mcfgkit import (
     apply_blocking,
     check_derivation,
     displacement,
+    dumps_derivation,
     grammar_params,
     lift_to_lattice,
     make_grammar,
@@ -24,13 +28,20 @@ from mcfgkit import (
     refine_and_split,
     synthesize,
     synthesize_word,
+    word_to_path,
 )
 
-from wordgen import all_words, zero_displacement_words
+from wordgen import all_words, shuffled_pairs, walk_and_return, zero_displacement_words
 
 
 def flatten(x: tuple[Word, ...]) -> Word:
     return sum(x, ())
+
+
+def traced(x: tuple[Word, ...], n: int):
+    """The path of x's concatenation, and x's components as spans of it."""
+    ends = tuple(accumulate(map(len, x), initial=0))
+    return word_to_path(flatten(x), n), tuple(zip(ends, ends[1:]))
 
 
 def spread_word(draw, word: Word, m: int, n: int) -> tuple[Word, ...]:
@@ -135,11 +146,11 @@ def test_zero_displacement_halves_synthesize():
 
 def test_refine_and_split_validation():
     with pytest.raises(ValueError, match="even"):
-        refine_and_split((("a1",),), 1, 1)
-    with pytest.raises(ValueError, match="zero"):
-        refine_and_split((("a1",), ()), 1, 1)
+        refine_and_split(*traced((("a1",),), 1), 1)
+    with pytest.raises(ValueError, match=r"zero, got \(1,\)"):
+        refine_and_split(*traced((("a1",), ()), 1), 1)
     with pytest.raises(ValueError, match="nonzero"):
-        refine_and_split((("a1", "A1"), ()), 1, 1)
+        refine_and_split(*traced((("a1", "A1"), ()), 1), 1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -147,7 +158,7 @@ def test_refine_and_split_validation():
 def test_refined_split_shape(n, data):
     x = data.draw(splittable_tuples(n))
     k, m = grammar_params(n)
-    split = refine_and_split(x, n, k)
+    split = refine_and_split(*traced(x, n), k)
     assert split.m == len(x)
     assert split.condition_sum() == (0,) * n
     for half, comps in ((split.left, x[: m // 2]), (split.right, x[m // 2 :])):
@@ -175,7 +186,7 @@ def test_refined_split_shape(n, data):
 def test_lift_moves_boundaries_onto_the_lattice(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
-    split = refine_and_split(x, n, k)
+    split = refine_and_split(*traced(x, n), k)
     lifted = lift_to_lattice(split)
     for before, after in ((split.left, lifted.left), (split.right, lifted.right)):
         assert all(b % 2 == 0 for b in after.boundaries)
@@ -195,44 +206,35 @@ def test_lift_moves_boundaries_onto_the_lattice(n, data):
     assert inside >= 1 and outside >= 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@given(data=st.data())
-def test_each_split_decodes_each_half_once(n, data):
-    x = data.draw(recursion_tuples(n))
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_call_traces_its_word_once(n, split_ks):
+    """synthesize_word and synthesize decode their word once for the
+    membership check and trace it once, however often they split; each
+    half's path is its own tokens' path, sliced off that trace."""
     k, m = grammar_params(n)
-    decoded = Counter()
-    expected = Counter()
-    split = mcfgkit.synthesis.refine_and_split
-    synth = mcfgkit.synthesis._Synthesizer.synth
-
-    def counted_synth(self, x):
-        if sum(map(len, x)) > m:
-            expected[flatten(x[: m // 2])] += 1
-        return synth(self, x)
-
-    def counted_split(x, n, k, left_path=None):
-        expected[flatten(x[m // 2 :])] += 1
-        return split(x, n, k, left_path)
-
+    w = walk_and_return(random.Random(n), n, 3 * m)
+    x = (w[:1],) + ((),) * (m - 2) + (w[1:],)
+    calls = Counter()
     with pytest.MonkeyPatch.context() as mp:
         for name in ("word_to_path", "displacement"):
-            def counted(word, n, original=getattr(mcfgkit.synthesis, name)):
-                decoded[word] += 1
+            def counted(word, n, name=name, original=getattr(mcfgkit.synthesis, name)):
+                calls[name, word] += 1
                 return original(word, n)
 
             mp.setattr(mcfgkit.synthesis, name, counted)
-        lifted = lift_to_lattice(split(x, n, k))
-        assert decoded == Counter((flatten(x[: m // 2]), flatten(x[m // 2 :])))
-        # through the recursion, the branch test decodes the left half of every
-        # tuple past the base case, and a split decodes only the right half more
-        decoded.clear()
-        mp.setattr(mcfgkit.synthesis._Synthesizer, "synth", counted_synth)
-        mp.setattr(mcfgkit.synthesis, "refine_and_split", counted_split)
-        mcfgkit.synthesis._Synthesizer(make_grammar(n)).synth(x)
-    assert decoded == expected
-    for half, comps in ((lifted.left, x[: m // 2]), (lifted.right, x[m // 2 :])):
-        assert half.word == flatten(comps)
-        assert flatten(tuple(map(half.part_word, range(half.part_count)))) == half.word
+        synthesize_word(w, n)
+        assert calls == {("word_to_path", w): 1, ("displacement", w): 1}
+        assert split_ks
+        split_ks.clear()
+        calls.clear()
+        synthesize(x, make_grammar(n))
+        assert calls == {("word_to_path", w): 1, ("displacement", w): 1}
+        assert split_ks
+    path, spans = traced(x, n)
+    split = refine_and_split(path, spans, k)
+    for half, h in ((split.left, slice(m // 2)), (split.right, slice(m // 2, m))):
+        assert half.spans == spans[h]
+        assert half.path == word_to_path(flatten(x[h]), n)
 
 
 def test_lift_reports_unrepairable_minimal_split():
@@ -240,7 +242,7 @@ def test_lift_reports_unrepairable_minimal_split():
     # side, so balance and two-sided nonemptiness cannot both hold on
     # the lattice.  The lift must refuse loudly rather than loop.
     x = (("a1",), (), (), (), (), ("A1",))
-    split = refine_and_split(x, 1, 1)
+    split = refine_and_split(*traced(x, 1), 1)
     with pytest.raises(InternalInvariantError) as info:
         lift_to_lattice(split)
     assert "no mid-lattice endpoint can move" in str(info.value)
@@ -252,15 +254,19 @@ def test_lift_reports_unrepairable_minimal_split():
 def test_yz_reassembles_to_the_original_tuple(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
-    yz = make_yz(lift_to_lattice(refine_and_split(x, n, k)))
-    assert len(yz.y) == len(yz.z) == m
+    yz = make_yz(lift_to_lattice(refine_and_split(*traced(x, n), k)))
+    w = flatten(x)
+    y = tuple(w[s:e] for s, e in yz.y)
+    z = tuple(w[s:e] for s, e in yz.z)
+    assert all(0 <= s <= e <= len(w) for s, e in yz.y + yz.z)
+    assert len(y) == len(z) == m
     assert yz.blocking.violations(m) == []
-    assert apply_blocking(yz.blocking, yz.y, yz.z) == x
-    assert displacement(flatten(yz.y), n) == (0,) * n
-    assert displacement(flatten(yz.z), n) == (0,) * n
-    total = len(flatten(x))
-    assert len(flatten(yz.y)) + len(flatten(yz.z)) == total
-    assert 1 <= len(flatten(yz.y)) <= total - 1  # strict descent on both sides
+    assert apply_blocking(yz.blocking, y, z) == x
+    assert displacement(flatten(y), n) == (0,) * n
+    assert displacement(flatten(z), n) == (0,) * n
+    total = len(w)
+    assert len(flatten(y)) + len(flatten(z)) == total
+    assert 1 <= len(flatten(y)) <= total - 1  # strict descent on both sides
 
 
 def test_base_derivation_small_tuples():
@@ -306,6 +312,65 @@ def test_adversarial_words_synthesize(split_ks):
             assert split_ks and set(split_ks) == {grammar_params(n).k}
 
 
+def test_list_words_derive_like_tuples():
+    # the start rule's substitution must hold tuples, at and past the base case
+    for word, n in ((["a1", "A1"], 1), (["a1", "A1"] * 5, 1)):
+        d = synthesize_word(word, n)
+        assert d == synthesize_word(tuple(word), n)
+        assert check_derivation(make_grammar(n), d) == Instance("S", (tuple(word),))
+
+
 def test_synthesis_is_deterministic():
     word = parse_word("a1 a2 A2 a1 A1 A1 a2 A2")
     assert synthesize_word(word, 2) == synthesize_word(word, 2)
+
+
+# sha256 of the derivation texts of random_spreads(), concatenated in order
+SPREADS_SHA256 = "cba7446131af97d80dbbf79b61a8c7bf282bf8ed0ce2eea6d6f1114d90dd4134"
+
+
+def random_spreads() -> list[tuple[int, tuple[Word, ...]]]:
+    """Seeded words at ranks 1-6 cut at random points, empty components anywhere."""
+    rng = random.Random(11)
+    cases = []
+    for n in range(1, 7):
+        m = grammar_params(n).m
+        for length in (m + 2, 2 * m, 4 * m):
+            for family in (shuffled_pairs, walk_and_return):
+                for _ in range(8):
+                    w = family(rng, n, length)
+                    # few distinct cut points, so many components come out empty
+                    points = rng.sample(range(length + 1), rng.randint(1, m))
+                    cuts = sorted(rng.choice(points) for _ in range(m - 1))
+                    bounds = [0, *cuts, length]
+                    cases.append((n, tuple(w[a:b] for a, b in zip(bounds, bounds[1:]))))
+    return cases
+
+
+def test_random_spreads_synthesize(monkeypatch):
+    """Arbitrary layouts go through rebalance and make_yz at every rank,
+    check to I(x), and serialize to pinned bytes."""
+    reached = Counter()
+    for name in ("rebalance", "halve"):
+        def counted(self, x, name=name, original=getattr(mcfgkit.synthesis._Synthesizer, name)):
+            reached[name, rank] += 1
+            return original(self, x)
+
+        monkeypatch.setattr(mcfgkit.synthesis._Synthesizer, name, counted)
+
+    def counted_make_yz(split, original=make_yz):
+        reached["make_yz", rank] += 1
+        return original(split)
+
+    monkeypatch.setattr(mcfgkit.synthesis, "make_yz", counted_make_yz)
+    digest = hashlib.sha256()
+    cases = random_spreads()
+    for rank, x in cases:
+        g = make_grammar(rank)
+        d = synthesize(x, g)
+        assert check_derivation(g, d) == Instance("I", x)
+        digest.update(dumps_derivation(d).encode("utf-8"))
+    assert len(cases) == 288
+    assert all(reached[name, n] for name in ("rebalance", "make_yz") for n in range(1, 7))
+    assert any(name == "halve" for name, _ in reached)
+    assert digest.hexdigest() == SPREADS_SHA256

@@ -11,7 +11,6 @@ from mcfgkit import (
     LatticePath,
     alphabet,
     displacement,
-    format_word,
     grammar_params,
     l1,
     make_grammar,
@@ -55,7 +54,7 @@ def test_make_token_rejects_bad_spec():
 def test_parse_and_format_word():
     assert parse_word("a1 A2  a1") == ("a1", "A2", "a1")
     assert parse_word("") == ()
-    assert format_word(("a1", "A2")) == "a1 A2"
+    assert parse_word(" ".join(("a1", "A2"))) == ("a1", "A2")
     with pytest.raises(ValueError):
         parse_word("a1 bogus")
 
