@@ -99,8 +99,10 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
 
     The search runs on the path's packed `keys`, one int per vector, so
     a sum or a dictionary lookup costs one int operation instead of an
-    n-tuple; only the l1 budget reads remainders as vectors. Packing is
-    exact on the vectors compared: points lie in [-2L, 2L] and their
+    n-tuple; only the l1 budget unpacks a remainder, once per search node.
+    That unpacking is exact: a remainder is the target minus a sum over
+    disjoint intervals, so each coordinate lies in [-3L, 3L], within
+    base/2. Comparisons are exact too: points lie in [-2L, 2L] and their
     differences in [-4L, 4L] per coordinate; a remainder that passes the
     l1 budget lies in [-2L, 2L], so `rest` lies in [-6L, 6L]. Any two
     vectors compared thus differ by at most 10L < base per coordinate,
@@ -116,11 +118,9 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     pad = max(0, k - max(1, (path.n + 1) // 2))
     pairs = k - pad
     keys = path.keys
-    # only the l1-pruned pairs before k - 2 read the points as vectors
-    pts = path.points if pairs >= 3 else ()
     end = len(keys) - 1
     # the lattice endpoint has even coordinates, so the halving is exact
-    target = tuple(c // 2 for c in path.vector(keys[-1]))
+    target = keys[-1] // 2
 
     where: dict[int, list[int]] = {}
     for s, key in enumerate(keys):
@@ -142,19 +142,19 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     dead: dict[tuple[int, int], int] = {}
     chosen: list[int] = [0] * (2 * pad)
 
-    def search(pair: int, lo: int, remaining: Vec, rem: int) -> bool:
+    def search(pair: int, lo: int, rem: int) -> bool:
         if pair == pairs - 1:  # one interval; with more, pair k - 2 places the last two
             hit = last(lo, rem)
             if hit is None:
                 return False
             chosen.extend(hit)
             return True
-        need = l1(remaining)
-        if need > end - lo:
-            return False
         state = (pair, rem)
         stop = dead.get(state, end + 1)
         if lo >= stop:
+            return False
+        need = l1(path.vector(rem))
+        if need > end - lo:
             return False
         # the intervals left lie in [t, end], so they cover l1 <= end - t; rows
         # from stop on already failed with this remainder
@@ -172,27 +172,25 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
                         return True
         else:
             for t in rows:
-                # remaining - (pts[s] - pts[t]), with the sum hoisted out of the s loop
-                shifted = vadd(remaining, pts[t])
-                shifted_key = rem + keys[t]
+                shifted = rem + keys[t]
                 for s in range(t, end + 1):
                     chosen.append(t)
                     chosen.append(s)
-                    if search(pair + 1, s, vsub(shifted, pts[s]), shifted_key - keys[s]):
+                    if search(pair + 1, s, shifted - keys[s]):
                         return True
                     chosen.pop()
                     chosen.pop()
         dead[state] = lo
         return False
 
-    if not search(0, 0, target, keys[-1] // 2):
+    if not search(0, 0, target):
         raise InternalInvariantError(
             "no breakpoint tuple reaches half the displacement",
             {
                 "n": path.n,
                 "steps": path.steps,
                 "k": k,
-                "target_doubled": target,
+                "target_doubled": path.vector(target),
             },
         )
     return SegmentPartition(path, k, tuple(chosen))

@@ -132,6 +132,8 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
         if step.rule_index is not None:
             if not 0 <= step.rule_index < len(g.rules):
                 raise DerivationError(i, "unknown-rule", f"no rule with index {step.rule_index}")
+            if step.blocking is not None:
+                raise DerivationError(i, "blocking-malformed", "concrete step carries a blocking")
             rule = g.rules[step.rule_index]
             if len(step.premises) != len(rule.rhs):
                 raise DerivationError(i, "premise-not-derived",
@@ -163,6 +165,8 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
             m = schema_arity[step.schema]
             if step.blocking is None:
                 raise DerivationError(i, "blocking-malformed", "schema step carries no blocking")
+            if step.subst:
+                raise DerivationError(i, "template-mismatch", "schema step carries a substitution")
             problems = step.blocking.violations(m)
             if problems:
                 raise DerivationError(i, "blocking-malformed", "; ".join(problems))

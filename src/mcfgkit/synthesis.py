@@ -102,11 +102,6 @@ class HalfSplit:
     def part_span(self, p: int) -> tuple[int, int]:
         return self.boundaries[p], self.boundaries[p + 1]
 
-    def part_diff(self, p: int) -> Vec:
-        lo, hi = self.part_span(p)
-        keys = self.path.keys
-        return self.path.vector(keys[hi] - keys[lo])
-
 
 @dataclass(frozen=True)
 class RefinedSplit:
@@ -123,8 +118,10 @@ class RefinedSplit:
         """Sum of doubled part differences over S and T; zero when balanced."""
         total = (0,) * self.left.path.n
         for half in (self.left, self.right):
-            for p in sorted(half.members):
-                total = vadd(total, half.part_diff(p))
+            # disjoint parts: one key difference whose coordinates lie in [-2L, 2L]
+            keys, b = half.path.keys, half.boundaries
+            diff = sum(keys[b[p + 1]] - keys[b[p]] for p in half.members)
+            total = vadd(total, half.path.vector(diff))
         return total
 
 
@@ -214,9 +211,14 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
     moves component cuts (those are even already), so the refinement
     property survives. A full scan with no legal move would contradict
     the parity of crossing endpoints and raises InternalInvariantError.
+    A move is legal when each moved boundary stays between its neighbours
+    and the member-side extent `inside` stays in [1, total - 1]; as the
+    bounds are sorted between moves, that equals a check of every part.
     """
     halves = (split.left, split.right)
     bounds = [list(half.boundaries) for half in halves]
+    total = sum(b[-1] for b in bounds)
+    inside = sum(b[p + 1] - b[p] for b, half in zip(bounds, halves) for p in half.members)
 
     def odd_positions() -> list[tuple[int, int]]:
         return [
@@ -226,18 +228,22 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
             if bounds[h][i] % 2
         ]
 
+    def side(h: int, i: int) -> int:
+        """The change in member-side extent when boundary i moves by +1: 1, -1 or 0."""
+        members = halves[h].members
+        return ((i - 1) in members) - (i in members)
+
     def crossing(h: int, i: int) -> tuple[int, int] | None:
         """(edge axis, effect sign) of boundary i, None between same sides.
 
         Moving the boundary by delta changes the member-side balance sum
         by delta * sign on the axis of the edge the boundary sits on.
         """
-        inside_left = (i - 1) in halves[h].members
-        inside_right = i in halves[h].members
-        if inside_left == inside_right:
+        sign = side(h, i)
+        if not sign:
             return None
         axis, edge_sign = halves[h].path.step_at(bounds[h][i])
-        return axis, edge_sign * (int(inside_left) - int(inside_right))
+        return axis, edge_sign * sign
 
     def candidates(odds: list[tuple[int, int]]) -> Iterator[list[tuple[int, int, int]]]:
         """Moves in trial order: boundaries in order, partners in order, -1 before +1."""
@@ -258,21 +264,11 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
                     yield [(h, i, delta), (h2, j, -delta * sign * partner[1])]
 
     def legal(moves: list[tuple[int, int, int]]) -> bool:
-        trial = [list(bounds[0]), list(bounds[1])]
-        for h, i, delta in moves:
-            trial[h][i] += delta
-        for h in (0, 1):
-            if any(a > b for a, b in zip(trial[h], trial[h][1:])):
-                return False
-        inside = other = 0
-        for h in (0, 1):
-            for p in range(len(trial[h]) - 1):
-                extent = trial[h][p + 1] - trial[h][p]
-                if p in halves[h].members:
-                    inside += extent
-                else:
-                    other += extent
-        return inside >= 1 and other >= 1
+        if not 1 <= inside + sum(delta * side(h, i) for h, i, delta in moves) <= total - 1:
+            return False
+        moved = {(h, i): bounds[h][i] + delta for h, i, delta in moves}
+        return all(moved.get((h, i - 1), bounds[h][i - 1]) <= v <= moved.get((h, i + 1), bounds[h][i + 1])
+                   for (h, i), v in moved.items())
 
     while odds := odd_positions():
         moves = next((mv for mv in candidates(odds) if legal(mv)), None)
@@ -289,6 +285,7 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
                 },
             )
         for h, i, delta in moves:
+            inside += delta * side(h, i)
             bounds[h][i] += delta
     result = RefinedSplit(
         replace(split.left, boundaries=tuple(bounds[0])),

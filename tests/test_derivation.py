@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from mcfgkit import (
     make_grammar,
     synthesize_word,
 )
+from mcfgkit import cli
 
 from wordgen import zero_displacement_words
 
@@ -146,6 +148,22 @@ def test_checker_rejects_unbound_substitution_variable(abcd_grammar):
         start.conclusion_nt, start.conclusion, start.premises,
     )
     expect_code(make_grammar(1), d.steps[:-1] + (extra,), "template-mismatch", len(d) - 1)
+
+
+def test_checker_rejects_fields_a_step_kind_never_uses(tmp_path, capsys):
+    good = combine_steps()
+    # a combine step binds no variables, so a substitution on one is rejected
+    bound = replace(good[2], subst=(("x", ("a1",)),))
+    expect_code(make_grammar(1), good[:2] + (bound,), "template-mismatch", 2)
+    text = dumps_derivation(Derivation(good[:2] + (bound,)))
+    assert loads_derivation(text).steps[2].subst == (("x", ("a1",)),)
+    path = tmp_path / "d.json"
+    path.write_text(text, encoding="utf-8")
+    assert cli.run(["verify", "--n", "1", "--derivation", str(path)]) == 1
+    assert "schema step carries a substitution" in capsys.readouterr().out
+    # a concrete step with a blocking would lose it on a dump/load round trip
+    blocked = replace(good[1], blocking=good[2].blocking)
+    expect_code(make_grammar(1), (good[0], blocked, good[2]), "blocking-malformed", 1)
 
 
 def test_checker_rejects_wrong_conclusion(abcd_grammar):

@@ -153,7 +153,7 @@ def test_refine_and_split_validation():
         refine_and_split(*traced((("a1", "A1"), ()), 1), 1)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 @given(data=st.data())
 def test_refined_split_shape(n, data):
     x = data.draw(splittable_tuples(n))
@@ -181,7 +181,7 @@ def test_refined_split_shape(n, data):
     assert k <= t <= 3 * k - 1
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 @given(data=st.data())
 def test_lift_moves_boundaries_onto_the_lattice(n, data):
     x = data.draw(recursion_tuples(n))
@@ -249,7 +249,7 @@ def test_lift_reports_unrepairable_minimal_split():
     assert info.value.payload["left_steps"] == ((1, 1),)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 7))
 @given(data=st.data())
 def test_yz_reassembles_to_the_original_tuple(n, data):
     x = data.draw(recursion_tuples(n))
