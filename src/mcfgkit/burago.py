@@ -12,19 +12,25 @@ exhaustive, so failure would falsify the construction rather than the
 input, and raises InternalInvariantError with a diagnostic payload.
 
 The search is meet-in-the-middle (Horowitz & Sahni, JACM 1974): a point
-index answers the last interval and a latest-start table the one before
-it, so it costs O(L log L) for k = 1 (n = 1, 2) and O(L^2) for k = 2
-(n = 3, 4); each further interval (k >= 3, n = 5, 6) is an ordered,
-pruned and memoised loop over O(L^2) candidates. Vectors are compared as
-the path's packed int keys (LatticePath.keys), which is exact for the
+index answers the last interval in O(L), which is the whole search for
+k = 1 (n = 1, 2). For k = 2 (n = 3, 4) each candidate for the first
+interval is checked by such a scan until the scans have read a third as
+many rows as a latest-start table over all pairs has entries; only then
+is the table built, and it answers the remaining candidates with one
+lookup each. An early answer thus costs O(L) per candidate tried, and
+the worst case O(L^2), at most a third more than building the table up
+front. Each further interval (k >= 3, n = 5, 6) is an ordered, pruned
+and memoised loop over O(L^2) candidates on top of the table, which is
+built before that search starts. Vectors are compared as the
+path's packed int keys (LatticePath.keys), which is exact for the
 vectors the search builds. See burago_partition.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import repeat
+from operator import sub
 
 from .zn import LatticePath, Vec, l1, vadd, vsub
 
@@ -77,17 +83,30 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     An exhaustive search in increasing lexicographic order, so the first
     hit is the lexicographic minimum, answered per interval as follows.
 
-    - Last interval: an index `where` from each point to the ascending
-      parameters at which the path takes it. The earliest (t, s) with
-      lo <= t <= s and points[s] - points[t] = rem is one scan over t with
-      a dictionary lookup of points[t] + rem and a bisect for the first
-      s >= t: O(L log L). For k = 1 this is the whole search.
-    - Second-to-last interval (k >= 2): a table `latest` from each
-      difference vector to the largest t of any pair t <= s with that
-      difference, built in O(L^2). A candidate (t, s) leaves a feasible
-      last interval exactly when latest[rest] >= s, where rest = rem -
-      (points[s] - points[t]): one int sum and one lookup, so k = 2 costs
-      O(L^2) overall.
+    - Last interval: an index `at` from each point to the largest
+      parameter at which the path takes it. The earliest (t, s) with
+      lo <= t <= s and points[s] - points[t] = rem is found by one scan
+      over t for the first with at[points[t] + rem] >= t; s is then the
+      first index of that point from t on: O(L). For k = 1 this is the
+      whole search.
+    - Second-to-last interval (k >= 2): a candidate (t, s) leaves a
+      feasible last interval for rest = rem - (points[s] - points[t])
+      exactly when the last-interval scan from s finds one. A table
+      `latest` from each difference vector to the largest t of any pair
+      t <= s with that difference answers the same predicate as
+      latest[rest] >= s in one lookup, but has (end+1)(end+2)/2 entries
+      (end = 2L) to build. At k = 2 the search scans first and charges
+      each failed candidate the end + 1 - s rows its scan read. Once the
+      charge reaches a third of the table's entries, it builds `latest`
+      and answers the rest of the current row and every later row from
+      it. The scans never leave row 0, whose candidates before s = end
+      alone would charge all but one of the table's entries. So a search
+      whose answer comes early never pays for the table, and the worst
+      case reads fewer than a third of the table's entries plus end + 1
+      rows more than building the table up front. The predicate is the
+      same either way, so the answer does not depend on when the table
+      is built. At k >= 3 this level is entered again from many earlier
+      candidates, which share one table, built before the search starts.
     - Earlier intervals (k >= 3): a depth-first loop over ordered (t, s),
       O(L^2) candidates per level on top of the above.
 
@@ -121,28 +140,26 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     end = len(keys) - 1
     # the lattice endpoint has even coordinates, so the halving is exact
     target = keys[-1] // 2
-
-    where: dict[int, list[int]] = {}
-    for s, key in enumerate(keys):
-        where.setdefault(key, []).append(s)
+    # later parameters overwrite earlier ones, so each point keeps its largest
+    at = dict(zip(keys, range(end + 1)))
 
     def last(lo: int, rem: int) -> tuple[int, int] | None:
-        for t in range(lo, end + 1):
-            hits = where.get(keys[t] + rem)
-            if hits is not None and hits[-1] >= t:
-                return t, hits[bisect_left(hits, t)]
+        get = at.get
+        for t, key in enumerate(keys[lo:], lo):
+            if get(key + rem, -1) >= t:
+                return t, keys.index(key + rem, t)
         return None
 
-    latest: dict[int, int] = {}
-    if pairs >= 2:
-        # ascending t, so the largest t of each difference is written last
-        for t in range(end + 1):
-            latest.update(zip(map(keys[t].__rsub__, keys[t:]), repeat(t)))
-
+    # at k >= 3 the level that uses the pair table is entered again from many
+    # earlier candidates, so they share one; k = 2 builds it only if its scans
+    # have read a third as many rows as the table has entries
+    latest = _pair_table(keys) if pairs >= 3 else None
+    budget = (end + 1) * (end + 2) // 6
     dead: dict[tuple[int, int], int] = {}
     chosen: list[int] = [0] * (2 * pad)
 
     def search(pair: int, lo: int, rem: int) -> bool:
+        nonlocal latest, budget
         if pair == pairs - 1:  # one interval; with more, pair k - 2 places the last two
             hit = last(lo, rem)
             if hit is None:
@@ -160,12 +177,25 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
         # from stop on already failed with this remainder
         rows = range(lo, min(stop, end - need + 1))
         if pair == pairs - 2:
-            get = latest.get
+            get = None if latest is None else latest.get
             for t in rows:
                 shifted = rem + keys[t]
-                for s in range(t, end + 1):
-                    # rem - (keys[s] - keys[t]) must be the difference of a
-                    # pair starting at or after s
+                s = t
+                if latest is None:
+                    # scan while the budget lasts; a failed scan read end + 1 - s rows
+                    while budget > 0 and s <= end:
+                        hit = last(s, shifted - keys[s])
+                        if hit is not None:
+                            chosen.extend((t, s))
+                            chosen.extend(hit)
+                            return True
+                        budget -= end + 1 - s
+                        s += 1
+                    latest = _pair_table(keys)
+                    get = latest.get
+                # rem - (keys[s] - keys[t]) must be the difference of a pair
+                # starting at or after s
+                for s in range(s, end + 1):
                     if get(shifted - keys[s], -1) >= s:
                         chosen.extend((t, s))
                         chosen.extend(last(s, shifted - keys[s]))
@@ -183,7 +213,9 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
         dead[state] = lo
         return False
 
-    if not search(0, 0, target):
+    found = search(0, 0, target)
+    del search  # the closure refers to itself; drop the cycle with its tables
+    if not found:
         raise InternalInvariantError(
             "no breakpoint tuple reaches half the displacement",
             {
@@ -194,3 +226,12 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
             },
         )
     return SegmentPartition(path, k, tuple(chosen))
+
+
+def _pair_table(keys: tuple[int, ...]) -> dict[int, int]:
+    """Each difference keys[s] - keys[t] with t <= s, mapped to its largest t."""
+    latest: dict[int, int] = {}
+    # ascending t, so the largest t of each difference is written last
+    for t, key in enumerate(keys):
+        latest.update(zip(map(sub, keys[t:], repeat(key)), repeat(t)))
+    return latest

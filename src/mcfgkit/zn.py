@@ -72,6 +72,12 @@ def _steps_of(n: int) -> dict[str, tuple[int, int]]:
     return {token: token_step(token) for token in alphabet(n)}
 
 
+@lru_cache(maxsize=None, typed=True)
+def _valid_steps(n: int) -> frozenset[tuple[int, int]]:
+    """Every (axis, sign) of rank n."""
+    return frozenset(_steps_of(n).values())
+
+
 def _decode(word: Word, n: int) -> tuple[tuple[int, int], ...]:
     """The (axis, sign) of every token, rejecting axes beyond n."""
     try:
@@ -120,6 +126,11 @@ class LatticePath:
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        try:
+            if _valid_steps(self.n).issuperset(self.steps):
+                return
+        except TypeError:
+            pass  # a non-int rank or an unhashable step: the loop below decides
         for axis, sign in self.steps:
             if not 1 <= axis <= self.n or sign not in (1, -1):
                 raise ValueError(f"bad step: axis={axis}, sign={sign}")

@@ -186,6 +186,27 @@ def test_long_block_words_at_ranks_three_to_six():
     ), problems
 
 
+def test_long_random_words_at_ranks_three_and_four():
+    """Random members of length 2,048 derive and check at n = 3 (a walk and
+    its return, and shuffled inverse pairs) and n = 4 (shuffled pairs),
+    past the suite's other random rank-3-4 words, which stop at 3m = 42;
+    the elapsed time is reported, not asserted."""
+    problems: list[str] = []
+    times: list[str] = []
+    rng = random.Random(7)
+    for n, family in ((3, walk_and_return), (3, shuffled_pairs), (4, shuffled_pairs)):
+        w = family(rng, n, 2048)
+        t0 = time.monotonic()
+        if check_derivation(make_grammar(n), synthesize_word(w, n)) != Instance("S", (w,)):
+            problems.append(f"n={n} {family.__name__}: wrong final conclusion")
+        times.append(f"n={n} {family.__name__} L={len(w)} {time.monotonic() - t0:.2f}s")
+    assert report(
+        "long random words at ranks 3 and 4",
+        not problems,
+        ", ".join(times),
+    ), problems
+
+
 def test_every_rank_two_member_of_length_eight(split_ks):
     """All 4,900 members of length 8 at n = 2, past m = 6, derive and check."""
     t0 = time.monotonic()

@@ -3,23 +3,26 @@
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement
+from bisect import bisect_left
+from itertools import combinations_with_replacement, repeat
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mcfgkit.burago as burago_module
 from mcfgkit import (
     InternalInvariantError,
     SegmentPartition,
     burago_partition,
     grammar_params,
+    l1,
     make_token,
     vadd,
     word_to_path,
 )
 
-from wordgen import random_word
+from wordgen import block_word, random_word, shuffled_pairs, walk_and_return
 
 
 def test_frozen_examples():
@@ -168,3 +171,124 @@ def test_breakpoints_on_straight_lines_at_base_boundaries(n):
             assert [path.vector(key) for key in path.keys] == list(path.points)
             assert burago_partition(path, k).breakpoints == lex_min_reference(path, k), word
     assert len(bases) == 2
+
+
+def eager_k2_reference(path, k):
+    """The two-interval search with its pair table built before the first
+    candidate, as it stood before the search scanned first: the reference
+    whose tuples and failure payloads the scan-first search must repeat."""
+    pad = max(0, k - (path.n + 1) // 2)
+    assert k - pad == 2
+    keys = path.keys
+    end = len(keys) - 1
+    target = keys[-1] // 2
+    where = {}
+    for s, key in enumerate(keys):
+        where.setdefault(key, []).append(s)
+
+    def last(lo, rem):
+        for t in range(lo, end + 1):
+            hits = where.get(keys[t] + rem)
+            if hits is not None and hits[-1] >= t:
+                return t, hits[bisect_left(hits, t)]
+        return None
+
+    latest = {}
+    for t in range(end + 1):
+        latest.update(zip(map(keys[t].__rsub__, keys[t:]), repeat(t)))
+    for t in range(end - l1(path.vector(target)) + 1):
+        shifted = target + keys[t]
+        for s in range(t, end + 1):
+            if latest.get(shifted - keys[s], -1) >= s:
+                return (0, 0) * pad + (t, s) + last(s, shifted - keys[s])
+    raise InternalInvariantError(
+        "no breakpoint tuple reaches half the displacement",
+        {"n": path.n, "steps": path.steps, "k": k, "target_doubled": path.vector(target)},
+    )
+
+
+def outcome(search, path, k):
+    try:
+        return search(path, k)
+    except InternalInvariantError as err:
+        return err.payload
+
+
+def first_table_candidate(path, answer):
+    """The first candidate (t, s) of the first interval that the pair table
+    answers, or None when the scans reach the answer first. The scans may
+    charge a third of the table's entries; a failed candidate costs the
+    end + 1 - s rows its scan read."""
+    keys = path.keys
+    end = len(keys) - 1
+    budget = (end + 1) * (end + 2) // 6
+    for t in range(end - l1(path.vector(keys[-1] // 2)) + 1):
+        for s in range(t, end + 1):
+            if budget <= 0:
+                return t, s
+            if answer is not None and (t, s) == answer[-4:-2]:
+                return None
+            budget -= end + 1 - s
+    return None
+
+
+def relabelled_block_word(rng, n, length):
+    """A block word with its axes permuted and some of them reversed."""
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    flip = {axis: rng.choice((1, -1)) for axis in relabel}
+    steps = word_to_path(block_word(n, max(1, length // (2 * n))), n).steps
+    return tuple(make_token(relabel[axis], flip[axis] * sign) for axis, sign in steps)
+
+
+def test_scan_first_search_matches_eager_table(monkeypatch):
+    # the pair table is built only once the scans have cost a third of it;
+    # tuples and failure payloads must not depend on when, or whether, it is
+    pair_table = burago_module._pair_table
+    built = []
+
+    def recording_table(keys):
+        built.append(len(keys))
+        return pair_table(keys)
+
+    def scan_first(path, k):
+        return burago_partition(path, k).breakpoints
+
+    monkeypatch.setattr(burago_module, "_pair_table", recording_table)
+    families = (shuffled_pairs, walk_and_return, relabelled_block_word, None)
+    rng = random.Random(1309)
+    regimes = {"scan": 0, "row start": 0, "mid-row": 0, "failed": 0}
+    low_rank = 0
+    for i in range(2400):
+        n = rng.choice((3, 4))
+        k = 2
+        family = families[i % len(families)]
+        if family is None:
+            # any displacement; at n = 5, 6 two intervals need not exist
+            n = rng.choice((3, 4, 5, 6))
+            word = random_word(rng, n, 40 if n > 4 else 96)
+        else:
+            word = family(rng, n, rng.randrange(2, 97))
+            if i % 3 == 0:
+                # a factor, as the synthesis searches: a non-zero target
+                a, b = sorted(rng.sample(range(len(word) + 1), 2))
+                word = word[a:b]
+        if i % 50 == 0 and n <= 4:
+            k = 3  # one interval more than needed: (0, 0), then the k = 2 search
+        low_rank += n <= 4
+        path = word_to_path(word, n)
+        built.clear()
+        expected = outcome(eager_k2_reference, path, k)
+        assert outcome(scan_first, path, k) == expected, (n, k, word)
+        answer = expected if isinstance(expected, tuple) else None
+        at = first_table_candidate(path, answer)
+        assert bool(built) == (at is not None), (n, k, word)
+        if answer is None:
+            regimes["failed"] += 1
+        elif at is None:
+            regimes["scan"] += 1
+        elif at[1] > at[0]:
+            regimes["mid-row"] += 1
+        else:
+            regimes["row start"] += 1
+    assert low_rank >= 2000
+    assert regimes["scan"] and regimes["mid-row"] and regimes["failed"], regimes
