@@ -9,10 +9,9 @@ The derivation as a whole "ends in" the conclusion of its last step.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple
 
 from .grammar import (
     Blocking,
@@ -20,7 +19,6 @@ from .grammar import (
     GrammarFormatError,
     Word,
     _decode_json,
-    _is_int,
     instantiate,
     require_valid,
 )
@@ -115,13 +113,17 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
 
     Raises DerivationError naming the first violated condition with codes
     unknown-rule, premise-not-derived, template-mismatch, blocking-malformed.
+    Each distinct blocking is checked once per schema arity it is used at.
     """
     require_valid(g)
     schema_arity = {s.nonterminal: s.arity for s in g.schemas}
     if not d.steps:
         raise DerivationError(0, "empty-derivation", "derivation has no steps")
 
-    for i, step in enumerate(d.steps):
+    steps = d.steps
+    # each (blocking, arity) that passed; equal blockings share an entry
+    valid_blockings: set[tuple[Blocking, int]] = set()
+    for i, step in enumerate(steps):
         for p in step.premises:
             if not 0 <= p < i:
                 raise DerivationError(i, "premise-not-derived",
@@ -145,8 +147,8 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                     if v not in subst:
                         raise DerivationError(i, "template-mismatch",
                                               f"substitution missing variable {v!r}")
-                expected = Instance(nt, tuple(subst[v] for v in names))
-                if d.steps[p].instance() != expected:
+                premise = steps[p]
+                if premise.conclusion_nt != nt or premise.conclusion != tuple(subst[v] for v in names):
                     raise DerivationError(i, "premise-not-derived",
                                           f"premise {p} conclusion does not match {nt} under the substitution")
             unbound = sorted(set(subst) - {v for _, names in rule.rhs for v in names})
@@ -167,24 +169,26 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 raise DerivationError(i, "blocking-malformed", "schema step carries no blocking")
             if step.subst:
                 raise DerivationError(i, "template-mismatch", "schema step carries a substitution")
-            problems = step.blocking.violations(m)
-            if problems:
-                raise DerivationError(i, "blocking-malformed", "; ".join(problems))
+            if (step.blocking, m) not in valid_blockings:
+                problems = step.blocking.violations(m)
+                if problems:
+                    raise DerivationError(i, "blocking-malformed", "; ".join(problems))
+                valid_blockings.add((step.blocking, m))
             if len(step.premises) != 2:
                 raise DerivationError(i, "premise-not-derived",
                                       f"schema step needs 2 premises, got {len(step.premises)}")
             sources: list[tuple[Word, ...]] = []
             for p in step.premises:
-                concl = d.steps[p].instance()
-                if concl.nt != step.schema or len(concl.components) != m:
+                premise = steps[p]
+                if premise.conclusion_nt != step.schema or len(premise.conclusion) != m:
                     raise DerivationError(i, "premise-not-derived",
                                           f"premise {p} is not an arity-{m} {step.schema} instance")
-                sources.append(concl.components)
+                sources.append(premise.conclusion)
             comps = apply_blocking(step.blocking, sources[0], sources[1])
             if step.conclusion_nt != step.schema or step.conclusion != comps:
                 raise DerivationError(i, "template-mismatch",
                                       "conclusion does not equal the regrouped premise components")
-    return d.steps[-1].instance()
+    return steps[-1].instance()
 
 
 def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
@@ -197,6 +201,18 @@ def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
     return f"{brackets[0]}\n{pad}{body}\n{pad[2:]}{brackets[1]}" if body else brackets
 
 
+class _Rendered(dict):
+    """Text for each key, made by render on the key's first lookup."""
+
+    def __init__(self, render: Callable[[Any], str]):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key: Any) -> str:
+        text = self[key] = self.render(key)
+        return text
+
+
 def dumps_derivation(d: Derivation) -> str:
     """The canonical derivation text, written straight from the steps.
 
@@ -204,22 +220,23 @@ def dumps_derivation(d: Derivation) -> str:
     object {"steps": [{"conclusion": {"components", "nt"}, "premises",
     "rule": {"blocking", "schema"} or {"index"}, "subst"}, ...]}. Its depth
     is fixed, so every indent is a constant, and members are written in
-    sorted key order. Strings, token lists and blockings repeat across
+    sorted key order. Strings, token lists and schema rules repeat across
     steps; each distinct one is rendered once per call.
     """
-    q = cache(encode_basestring_ascii)
-    component = cache(lambda w: _json_block(map(q, w), " " * 12))
-    binding = cache(lambda w: _json_block(map(q, w), " " * 10))
-    blocks = cache(lambda bs: _json_block(
-        [_json_block(map(str, b), " " * 12) for b in bs], " " * 10))
+    q = _Rendered(encode_basestring_ascii).__getitem__
+    component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
+    binding = _Rendered(lambda w: _json_block(map(q, w), " " * 10)).__getitem__
+    schema_rule = _Rendered(lambda key: (
+        f'{{\n        "blocking": '
+        f'{_json_block([_json_block(map(str, b), " " * 12) for b in key[0]], " " * 10)},\n'
+        f'        "schema": {q(key[1])}\n      }}')).__getitem__
     steps = []
     for step in d.steps:
         if step.rule_index is not None:
             rule = f'{{\n        "index": {step.rule_index}\n      }}'
         else:
             assert step.schema is not None and step.blocking is not None
-            rule = (f'{{\n        "blocking": {blocks(step.blocking.blocks)},\n'
-                    f'        "schema": {q(step.schema)}\n      }}')
+            rule = schema_rule((step.blocking.blocks, step.schema))
         subst = [f"{q(v)}: {binding(w)}" for v, w in sorted(dict(step.subst).items())]
         steps.append(
             '{\n      "conclusion": {\n'
@@ -231,63 +248,76 @@ def dumps_derivation(d: Derivation) -> str:
     return f'{{\n  "steps": {_json_block(steps, " " * 4)}\n}}\n'
 
 
-def _lists_of(lists: Iterable[object], item: type) -> bool:
-    """Every element is a list whose values all have exactly type item.
-
-    Exact types match what json.loads builds, and keep true and false out
-    of integer lists.
-    """
-    return set(map(type, lists)) <= {list} and set(map(type, chain.from_iterable(lists))) <= {item}
+# the keys a derivation object may hold, at each level
+_STEP_KEYS = frozenset(("conclusion", "premises", "rule", "subst"))
+_INDEX_RULE_KEYS = frozenset(("index",))
+_SCHEMA_RULE_KEYS = frozenset(("blocking", "schema"))
+# element type sets: json.loads builds exact types only, and true and
+# false are bools, so an exact-type test keeps them out of integer lists
+_LIST, _INT, _STR = frozenset((list,)), frozenset((int,)), frozenset((str,))
 
 
 def loads_derivation(text: str) -> Derivation:
-    """Parse derivation JSON, validating each step as its RuleInstance is built."""
+    """Parse derivation JSON, validating each step as its RuleInstance is built.
+
+    Equal blockings load as one shared Blocking, each built once its
+    integer lists have passed the same test every blocking gets.
+    """
     data = _decode_json(text)
-    if not (isinstance(data, dict) and data.keys() == {"steps"}):
+    if not (type(data) is dict and data.keys() == {"steps"}):
         raise GrammarFormatError("derivation must be a JSON object with the one key 'steps'")
     raw_steps = data["steps"]
-    if not isinstance(raw_steps, list):
+    if type(raw_steps) is not list:
         raise GrammarFormatError("steps must be a list")
     steps: list[RuleInstance] = []
+    blockings: dict[tuple[tuple[int, ...], ...], Blocking] = {}
     for i, entry in enumerate(raw_steps):
-        if not (isinstance(entry, dict) and entry.keys() <= {"conclusion", "premises", "rule", "subst"}):
+        if not (type(entry) is dict and entry.keys() <= _STEP_KEYS):
             raise GrammarFormatError(f"step {i}: must be an object of conclusion, premises, rule, subst")
         ref = entry.get("rule")
-        if not isinstance(ref, dict):
+        if type(ref) is not dict:
             raise GrammarFormatError(f"step {i}: rule must be an object")
-        if ref.keys() != ({"index"} if "index" in ref else {"blocking", "schema"}):
+        if ref.keys() != (_INDEX_RULE_KEYS if "index" in ref else _SCHEMA_RULE_KEYS):
             raise GrammarFormatError(f"step {i}: rule must be 'index' alone or 'schema' with 'blocking'")
         rule_index = ref.get("index")
         schema = ref.get("schema")
         blocking: Blocking | None = None
         if "index" in ref:
-            if not _is_int(rule_index):
+            if type(rule_index) is not int:
                 raise GrammarFormatError(f"step {i}: rule index must be an integer")
-        elif not isinstance(schema, str):
+        elif type(schema) is not str:
             raise GrammarFormatError(f"step {i}: schema must be a string")
         else:
-            raw_blocking = ref.get("blocking")
-            if not (isinstance(raw_blocking, list) and _lists_of(raw_blocking, int)):
+            raw_blocking = ref["blocking"]
+            if not (type(raw_blocking) is list and set(map(type, raw_blocking)) <= _LIST
+                    and set(map(type, chain.from_iterable(raw_blocking))) <= _INT):
                 raise GrammarFormatError(f"step {i}: blocking must be a list of integer lists")
-            blocking = Blocking(tuple(map(tuple, raw_blocking)))
+            # looked up only after the test: (1,) == (True,) == (1.0,), hashes too
+            key = tuple(map(tuple, raw_blocking))
+            blocking = blockings.get(key)
+            if blocking is None:
+                blocking = blockings[key] = Blocking(key)
         raw_subst = entry.get("subst", {})
-        if not (isinstance(raw_subst, dict) and _lists_of(raw_subst.values(), str)):
+        if not (type(raw_subst) is dict and (not raw_subst or (
+                set(map(type, raw_subst.values())) <= _LIST
+                and set(map(type, chain.from_iterable(raw_subst.values()))) <= _STR))):
             raise GrammarFormatError(f"step {i}: subst must map variables to token lists")
         concl = entry.get("conclusion")
-        if not (isinstance(concl, dict) and len(concl) == 2 and isinstance(concl.get("nt"), str)
-                and isinstance(concl.get("components"), list)
-                and _lists_of(concl["components"], str)):
+        if not (type(concl) is dict and len(concl) == 2 and type(concl.get("nt")) is str
+                and type(components := concl.get("components")) is list
+                and set(map(type, components)) <= _LIST
+                and set(map(type, chain.from_iterable(components))) <= _STR):
             raise GrammarFormatError(f"step {i}: conclusion must be {{nt, components}}")
         raw_premises = entry.get("premises", [])
-        if not (isinstance(raw_premises, list) and set(map(type, raw_premises)) <= {int}):
+        if not (type(raw_premises) is list and set(map(type, raw_premises)) <= _INT):
             raise GrammarFormatError(f"step {i}: premises must be a list of integers")
         steps.append(RuleInstance(
             conclusion_nt=concl["nt"],
-            conclusion=tuple(map(tuple, concl["components"])),
+            conclusion=tuple(map(tuple, components)),
             premises=tuple(raw_premises),
             rule_index=rule_index,
             schema=schema,
             blocking=blocking,
-            subst=tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())),
+            subst=tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())) if raw_subst else (),
         ))
     return Derivation(tuple(steps))

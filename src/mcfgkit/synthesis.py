@@ -27,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
@@ -73,6 +74,22 @@ def _pad_to_last(blocks: list[list[int]], total_slots: int) -> Blocking:
     used = {s for b in blocks for s in b}
     blocks[-1].extend(s for s in range(1, total_slots + 1) if s not in used)
     return Blocking(tuple(tuple(b) for b in blocks))
+
+
+@lru_cache(maxsize=None, typed=True)
+def _fold_blocking(r: int, m: int) -> Blocking:
+    """The base case's r-th fold: slots 1..2r keep their blocks, the new pair takes the next two."""
+    blocks: list[list[int]] = [[j] for j in range(1, 2 * r + 1)] + [[m + 1], [m + 2]]
+    blocks.extend([] for _ in range(m - len(blocks)))
+    return _pad_to_last(blocks, 2 * m)
+
+
+@lru_cache(maxsize=None, typed=True)
+def _halve_blocking(m: int) -> Blocking:
+    """The left m/2 slots of each premise, in order, one to a block."""
+    half = m // 2
+    blocks = [[i] for i in range(1, half + 1)] + [[m + i] for i in range(1, half + 1)]
+    return _pad_to_last(blocks, 2 * m)
 
 
 @dataclass(frozen=True)
@@ -413,17 +430,12 @@ class _Synthesizer:
         slot_of[plus0] = 1
         slot_of[minus0] = 2
         for r, (axis, plus, minus) in enumerate(pairs[1:], start=1):
-            ax = self.axiom(1 + axis)
-            blocks: list[list[int]] = [[j] for j in range(1, 2 * r + 1)]
-            blocks.append([m + 1])
-            blocks.append([m + 2])
-            blocks.extend([] for _ in range(m - len(blocks)))
-            acc = self.combine(acc, ax, _pad_to_last(blocks, 2 * m))
+            acc = self.combine(acc, self.axiom(1 + axis), _fold_blocking(r, m))
             slot_of[plus] = 2 * r + 1
             slot_of[minus] = 2 * r + 2
 
         empty = self.axiom(1)
-        blocks = [[] for _ in range(m)]
+        blocks: list[list[int]] = [[] for _ in range(m)]
         pos = 0
         for i, (s, e) in enumerate(x):
             for _ in range(s, e):
@@ -438,9 +450,7 @@ class _Synthesizer:
         pad = ((0, 0),) * half
         il = self.synth(x[:half] + pad)
         ir = self.synth(x[half:] + pad)
-        blocks = [[i] for i in range(1, half + 1)]
-        blocks += [[m + i] for i in range(1, half + 1)]
-        return self.combine(il, ir, _pad_to_last(blocks, 2 * m))
+        return self.combine(il, ir, _halve_blocking(m))
 
     def rebalance(self, x: tuple[Span, ...]) -> int:
         """Re-cut a lopsided tuple so every component is nonempty.

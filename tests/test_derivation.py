@@ -17,6 +17,7 @@ from mcfgkit import (
     Grammar,
     GrammarFormatError,
     Instance,
+    Rule,
     RuleInstance,
     apply_blocking,
     check_derivation,
@@ -210,6 +211,27 @@ def test_checker_rejects_wrong_arity_schema_premise(abcd_grammar):
     expect_code(g, steps, "premise-not-derived", 2)
 
 
+def test_blocking_checks_are_kept_apart_per_arity():
+    # one Blocking object, used by a schema step of each arity; it is
+    # valid at one arity only, and that step comes first
+    g = Grammar(("a",), (("S", 1), ("I", 2), ("J", 3)), "S",
+                (Rule("I", ((), ())), Rule("J", ((), (), ()))),
+                (CombineSchema("I", 2), CombineSchema("J", 3)))
+    axioms = (RuleInstance.concrete(0, {}, "I", ((),) * 2),
+              RuleInstance.concrete(1, {}, "J", ((),) * 3))
+    arity, axiom = {"I": 2, "J": 3}, {"I": 0, "J": 1}
+    for valid, other, blocking in (
+        ("I", "J", Blocking(((1, 3), (2, 4)))),
+        ("J", "I", Blocking(((1, 4), (2, 5), (3, 6)))),
+    ):
+        def step(nt: str) -> RuleInstance:
+            return RuleInstance.combine(nt, blocking, nt, ((),) * arity[nt], (axiom[nt],) * 2)
+
+        check_derivation(g, Derivation(axioms + (step(valid),)))
+        expect_code(g, axioms + (step(valid), step(other)), "blocking-malformed", 3)
+        expect_code(g, axioms + (step(valid), step(valid), step(other)), "blocking-malformed", 4)
+
+
 def test_checker_rejects_regrouping_mismatch():
     good = combine_steps()
     wrong = RuleInstance.combine("I", good[2].blocking, "I",
@@ -367,3 +389,84 @@ def test_minimal_steps_load_with_default_subst_and_premises():
         data = {"steps": [{"rule": rule, "conclusion": {"nt": "I", "components": []}}]}
         (step,) = loads_derivation(json.dumps(data)).steps
         assert step.subst == () and step.premises == ()
+
+
+GOOD_STEP = {"rule": {"schema": "I", "blocking": [[1, 3], [2, 4]]},
+             "conclusion": {"nt": "I", "components": [[], []]}}
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ("x", "must be an object of conclusion, premises, rule, subst"),
+        ({**GOOD_STEP, "note": ""}, "must be an object of conclusion, premises, rule, subst"),
+        ({**GOOD_STEP, "rule": 7}, "rule must be an object"),
+        ({"conclusion": GOOD_STEP["conclusion"]}, "rule must be an object"),
+        ({**GOOD_STEP, "rule": {}}, "rule must be 'index' alone or 'schema' with 'blocking'"),
+        ({**GOOD_STEP, "rule": {"schema": "I"}},
+         "rule must be 'index' alone or 'schema' with 'blocking'"),
+        ({**GOOD_STEP, "rule": {"index": 0, "blocking": [[1, 3], [2, 4]]}},
+         "rule must be 'index' alone or 'schema' with 'blocking'"),
+        ({**GOOD_STEP, "rule": {"index": "0"}}, "rule index must be an integer"),
+        ({**GOOD_STEP, "rule": {"index": True}}, "rule index must be an integer"),
+        ({**GOOD_STEP, "rule": {"index": 0.0}}, "rule index must be an integer"),
+        ({**GOOD_STEP, "rule": {"schema": 1, "blocking": [[1, 3], [2, 4]]}},
+         "schema must be a string"),
+        ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [[1, 3], ["2", 4]]}},
+         "blocking must be a list of integer lists"),
+        ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [1, 3, 2, 4]}},
+         "blocking must be a list of integer lists"),
+        ({**GOOD_STEP, "rule": {"schema": "I", "blocking": {"1": [3]}}},
+         "blocking must be a list of integer lists"),
+        ({**GOOD_STEP, "subst": {"x": "ab"}}, "subst must map variables to token lists"),
+        ({**GOOD_STEP, "subst": {"x": ["a", 1]}}, "subst must map variables to token lists"),
+        ({**GOOD_STEP, "subst": [["x", []]]}, "subst must map variables to token lists"),
+        ({**GOOD_STEP, "subst": None}, "subst must map variables to token lists"),
+        ({"rule": GOOD_STEP["rule"]}, "conclusion must be {nt, components}"),
+        ({**GOOD_STEP, "conclusion": {"nt": "I"}}, "conclusion must be {nt, components}"),
+        ({**GOOD_STEP, "conclusion": {"nt": 1, "components": []}},
+         "conclusion must be {nt, components}"),
+        ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a"], "b"]}},
+         "conclusion must be {nt, components}"),
+        ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a", None]]}},
+         "conclusion must be {nt, components}"),
+        ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [], "arity": 0}},
+         "conclusion must be {nt, components}"),
+        ({**GOOD_STEP, "premises": ["0"]}, "premises must be a list of integers"),
+        ({**GOOD_STEP, "premises": [0, True]}, "premises must be a list of integers"),
+        ({**GOOD_STEP, "premises": [0.0]}, "premises must be a list of integers"),
+        ({**GOOD_STEP, "premises": 0}, "premises must be a list of integers"),
+        # the first failing check of a step is the one reported
+        ({"rule": 7, "conclusion": 7, "premises": 7}, "rule must be an object"),
+        ({**GOOD_STEP, "subst": [], "conclusion": 7}, "subst must map variables to token lists"),
+    ],
+)
+def test_malformed_later_step_names_its_index_and_check(bad, message):
+    text = json.dumps({"steps": [GOOD_STEP, bad, "x"]})
+    with pytest.raises(GrammarFormatError) as info:
+        loads_derivation(text)
+    assert str(info.value) == f"step 1: {message}"
+
+
+@pytest.mark.parametrize("bad", [[[True, 3], [2, 4]], [[1, 3], [2, 4.0]], [[1.0, 3.0], [2.0, 4.0]]])
+def test_blocking_equal_by_value_to_an_earlier_one_is_still_type_checked(bad):
+    # (1,) == (True,) == (1.0,) and they hash alike: equal blockings share
+    # one object only once a blocking has passed its integer test
+    assert tuple(map(tuple, bad)) == ((1, 3), (2, 4))
+    text = json.dumps({"steps": [GOOD_STEP, {**GOOD_STEP, "rule": {"schema": "I", "blocking": bad}}]})
+    with pytest.raises(GrammarFormatError) as info:
+        loads_derivation(text)
+    assert str(info.value) == "step 1: blocking must be a list of integer lists"
+
+
+def test_equal_blockings_load_as_one_object():
+    text = json.dumps({"steps": [GOOD_STEP, GOOD_STEP,
+                                 {**GOOD_STEP, "rule": {"schema": "J", "blocking": [[1, 3], [2, 4]]}},
+                                 {**GOOD_STEP, "rule": {"schema": "I", "blocking": [[1, 4], [2, 3]]}}]})
+    a, b, c, d = (step.blocking for step in loads_derivation(text).steps)
+    assert a is b is c and d is not a and d == Blocking(((1, 4), (2, 3)))
+    word = tuple(random.Random(14).sample(["a1", "A1", "a2", "A2"] * 24, 96))
+    loaded = loads_derivation(dumps_derivation(synthesize_word(word, 2)))
+    blockings = [step.blocking for step in loaded.steps if step.blocking is not None]
+    assert len(set(map(id, blockings))) == len(set(blockings)) < len(blockings)
+    check_derivation(make_grammar(2), loaded)
