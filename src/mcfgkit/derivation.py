@@ -8,6 +8,8 @@ The derivation as a whole "ends in" the conclusion of its last step.
 
 from __future__ import annotations
 
+import gc
+import threading
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -57,6 +59,12 @@ class RuleInstance:
     schema: str | None = None
     blocking: Blocking | None = None
     subst: tuple[tuple[str, Word], ...] = ()
+
+    def __init__(self, conclusion_nt, conclusion, premises=(), rule_index=None, schema=None,
+                 blocking=None, subst=()):
+        # kept by @dataclass: one dict update, not the frozen __init__'s setattr per field
+        self.__dict__.update(conclusion_nt=conclusion_nt, conclusion=conclusion, premises=premises,
+                             rule_index=rule_index, schema=schema, blocking=blocking, subst=subst)
 
     @staticmethod
     def concrete(rule_index: int, subst: dict[str, Word], conclusion_nt: str,
@@ -220,15 +228,15 @@ def dumps_derivation(d: Derivation) -> str:
     object {"steps": [{"conclusion": {"components", "nt"}, "premises",
     "rule": {"blocking", "schema"} or {"index"}, "subst"}, ...]}. Its depth
     is fixed, so every indent is a constant, and members are written in
-    sorted key order. Strings, token lists and schema rules repeat across
-    steps; each distinct one is rendered once per call.
+    sorted key order. Strings, token lists, blocking rows and schema rules
+    repeat across steps; each distinct one is rendered once per call.
     """
     q = _Rendered(encode_basestring_ascii).__getitem__
     component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
     binding = _Rendered(lambda w: _json_block(map(q, w), " " * 10)).__getitem__
+    row = _Rendered(lambda b: _json_block(map(str, b), " " * 12)).__getitem__
     schema_rule = _Rendered(lambda key: (
-        f'{{\n        "blocking": '
-        f'{_json_block([_json_block(map(str, b), " " * 12) for b in key[0]], " " * 10)},\n'
+        f'{{\n        "blocking": {_json_block(map(row, key[0]), " " * 10)},\n'
         f'        "schema": {q(key[1])}\n      }}')).__getitem__
     steps = []
     for step in d.steps:
@@ -256,13 +264,30 @@ _SCHEMA_RULE_KEYS = frozenset(("blocking", "schema"))
 # false are bools, so an exact-type test keeps them out of integer lists
 _LIST, _INT, _STR = frozenset((list,)), frozenset((int,)), frozenset((str,))
 
+_gc_lock = threading.Lock()
+
 
 def loads_derivation(text: str) -> Derivation:
     """Parse derivation JSON, validating each step as its RuleInstance is built.
 
     Equal blockings load as one shared Blocking, each built once its
-    integer lists have passed the same test every blocking gets.
+    integer lists have passed the same test every blocking gets. Nothing
+    built here can form a cycle, so the cyclic collector is paused meanwhile
+    (gc.disable, process-wide). It is switched under a lock and restored on
+    return and on every raise: overlapping calls leave it as the first found.
     """
+    with _gc_lock:
+        enabled = gc.isenabled()
+        gc.disable()
+    try:
+        return _load_steps(text)
+    finally:
+        if enabled:
+            with _gc_lock:
+                gc.enable()
+
+
+def _load_steps(text: str) -> Derivation:
     data = _decode_json(text)
     if not (type(data) is dict and data.keys() == {"steps"}):
         raise GrammarFormatError("derivation must be a JSON object with the one key 'steps'")

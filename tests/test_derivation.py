@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import pickle
 import random
-from dataclasses import replace
+import threading
+from dataclasses import FrozenInstanceError, fields, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -27,6 +31,7 @@ from mcfgkit import (
     synthesize_word,
 )
 from mcfgkit import cli
+from mcfgkit import derivation as derivation_module
 
 from wordgen import zero_displacement_words
 
@@ -301,6 +306,17 @@ def random_step(rng: random.Random) -> dict:
     }
 
 
+def shared_row_steps(rng: random.Random) -> dict:
+    """Schema steps at m = 22 whose blockings reuse rows, empty rows among them."""
+    pairs = [[j, j + 22] for j in range(1, 23)]
+    rows = [[], [1], [2, 3], [2, 3, 5], [44, 1, 7], list(range(1, 45)), [22], [0, -1]]
+    blockings = [pairs, pairs[::-1], [[]] + pairs[1:], [[], [], list(range(1, 45))] + pairs[3:],
+                 [[]] * 22] + [[rng.choice(rows) for _ in range(22)] for _ in range(12)]
+    return {"steps": [{"conclusion": {"components": [[]] * 22, "nt": schema},
+                       "premises": [j, j], "rule": {"blocking": b, "schema": schema}, "subst": {}}
+                      for j, b in enumerate(blockings) for schema in ("I", "J")]}
+
+
 def test_dumps_matches_json_dumps_on_any_strings():
     rng = random.Random(2026)
     fixed = [
@@ -309,6 +325,8 @@ def test_dumps_matches_json_dumps_on_any_strings():
                     "rule": {"index": 0}, "subst": {}}]},
         {"steps": [{"conclusion": {"components": [[], [""]], "nt": "I"}, "premises": [10, 123],
                     "rule": {"blocking": [], "schema": "I"}, "subst": {"": []}}]},
+        shared_row_steps(rng),
+        {"steps": [random_step(rng) for _ in range(3)] + shared_row_steps(rng)["steps"]},
     ]
     for data in fixed + [{"steps": [random_step(rng) for _ in range(rng.randrange(1, 5))]}
                          for _ in range(300)]:
@@ -393,6 +411,104 @@ def test_minimal_steps_load_with_default_subst_and_premises():
 
 GOOD_STEP = {"rule": {"schema": "I", "blocking": [[1, 3], [2, 4]]},
              "conclusion": {"nt": "I", "components": [[], []]}}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("text, error", [
+    (json.dumps({"steps": [GOOD_STEP, GOOD_STEP]}), None),
+    ("{", "invalid JSON"),
+    ("[" * 200_000, "invalid JSON: maximum recursion depth"),
+    (json.dumps({"steps": [GOOD_STEP, {**GOOD_STEP, "premises": [True]}]}),
+     "step 1: premises must be a list of integers"),
+], ids=["valid", "invalid-json", "too-deep", "bad-later-step"])
+def test_loads_leaves_the_collector_as_it_found_it(enabled, text, error):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if error is None:
+            assert len(loads_derivation(text)) == 2
+        else:
+            with pytest.raises(GrammarFormatError, match=error):
+                loads_derivation(text)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_overlapping_loads_leave_the_collector_on(monkeypatch):
+    """A load that starts while another has the collector paused reads it
+    as off; the first load's restore must not fall between that read and
+    the second load's own gc.disable, or the collector stays off."""
+    text = json.dumps({"steps": [GOOD_STEP]})
+    held, go, done = threading.Event(), threading.Event(), threading.Event()
+    load_steps = derivation_module._load_steps
+
+    def held_load(t):
+        if threading.current_thread() is not threading.main_thread():
+            held.set()
+            go.wait(5)
+        return load_steps(t)
+
+    def isenabled():
+        state = gc.isenabled()
+        if threading.current_thread() is threading.main_thread():
+            go.set()  # let the first load end, and give its restore the chance to run now
+            done.wait(0.5)
+        return state
+
+    def first_load():
+        loads_derivation(text)
+        done.set()
+
+    monkeypatch.setattr(derivation_module, "_load_steps", held_load)
+    monkeypatch.setattr(derivation_module, "gc", SimpleNamespace(
+        isenabled=isenabled, disable=gc.disable, enable=gc.enable))
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        first = threading.Thread(target=first_load)
+        first.start()
+        assert held.wait(5)
+        assert len(loads_derivation(text)) == 1
+        first.join(5)
+        assert done.is_set() and gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def generated_init_step(**given) -> RuleInstance:
+    """A RuleInstance set up as dataclass's generated frozen __init__ does it:
+    each field in order, given or defaulted, through object.__setattr__."""
+    step = object.__new__(RuleInstance)
+    for f in fields(RuleInstance):
+        object.__setattr__(step, f.name, given.get(f.name, f.default))
+    return step
+
+
+def test_built_steps_equal_constructed_ones():
+    blocking = Blocking(((1, 3), (2, 4)))
+    text = json.dumps({"steps": [
+        {**GOOD_STEP, "premises": [0, 0], "subst": {}},
+        {"rule": {"index": 2}, "conclusion": {"nt": "I", "components": [["a"], []]},
+         "premises": [1], "subst": {"y": [], "x": ["a"]}}]})
+    concrete = {"conclusion_nt": "I", "conclusion": (("a",), ()), "premises": (1,), "rule_index": 2,
+                "subst": (("x", ("a",)), ("y", ()))}
+    built = loads_derivation(text).steps + (
+        RuleInstance.combine("I", blocking, "I", ((), ()), (0, 0)),
+        RuleInstance.concrete(2, {"y": (), "x": ("a",)}, "I", (("a",), ()), (1,)),
+        RuleInstance("I", ((), ()), (0, 0), None, "I", blocking, ()),
+        RuleInstance(**concrete))
+    expected = (
+        generated_init_step(conclusion_nt="I", conclusion=((), ()), premises=(0, 0), schema="I",
+                            blocking=blocking),
+        generated_init_step(**concrete))
+    for step, twin in zip(built, expected * 3):
+        assert step == twin and hash(step) == hash(twin) and repr(step) == repr(twin)
+        assert list(vars(step).items()) == list(vars(twin).items())
+        assert pickle.loads(pickle.dumps(step)) == step
+        assert replace(step, premises=(5,)) == replace(twin, premises=(5,)) != step
+        with pytest.raises(FrozenInstanceError):
+            step.premises = ()
 
 
 @pytest.mark.parametrize(
