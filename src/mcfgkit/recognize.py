@@ -17,16 +17,19 @@ then tries only the premise tuples that use an instance added since,
 in the same order. This changes no witness, since a tuple wholly inside
 the old pools was already tried and gave an instance that is now
 derived, or one that was rejected, and rejection depends only on the
-instance.
+instance. The closure runs on compiled rules: each template piece is a
+merged terminal run or a (premise, component) _Slot. Each grammar value
+is validated and compiled once, in a bounded cache keyed by that value.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable, Iterator
+from functools import lru_cache
+from itertools import groupby, product
+from typing import Callable, Iterator, NamedTuple
 
 from .derivation import Derivation, Instance, RuleInstance
-from .grammar import Grammar, Word, instantiate, require_valid
+from .grammar import Grammar, Word, require_valid
 
 
 class SchemaPresentError(ValueError):
@@ -60,24 +63,13 @@ def _close(
 ) -> dict[Instance, _Provenance]:
     derived: dict[Instance, _Provenance] = {}
     by_nt: dict[str, list[Instance]] = {nt: [] for nt, _ in g.nonterminals}
-
-    def admit(inst: Instance, prov: _Provenance) -> bool:
-        if inst in derived:
-            return False
-        if sum(len(c) for c in inst.components) > budget:
-            return False
-        if not all(component_ok(c) for c in inst.components):
-            return False
-        derived[inst] = prov
-        by_nt[inst.nt].append(inst)
-        return True
-
-    seen: list[tuple[int, ...] | None] = [None] * len(g.rules)
+    rules = _rules(g)
+    seen: list[tuple[int, ...] | None] = [None] * len(rules)
     changed = True
     while changed:
         changed = False
-        for index, rule in enumerate(g.rules):
-            pools = [by_nt[nt] for nt, _ in rule.rhs]
+        for index, lhs, rhs, templates in rules:
+            pools = [by_nt[nt] for nt in rhs]
             old, new = seen[index], tuple(map(len, pools))
             if old == new:
                 continue
@@ -85,11 +77,19 @@ def _close(
             # product snapshots every pool before yielding the first tuple
             tuples = product(*pools) if old is None else _fresh(pools, old, new)
             for premises in tuples:
-                subst: dict[str, Word] = {}
-                for (_, names), inst in zip(rule.rhs, premises):
-                    subst.update(zip(names, inst.components))
-                comps = tuple(instantiate(t, subst) for t in rule.templates)
-                if admit(Instance(rule.lhs, comps), (index, premises)):
+                parts, size = [], 0
+                for template in templates:
+                    comp: Word = ()
+                    for piece in template:
+                        comp += premises[piece[0]][1][piece[1]] if type(piece) is _Slot else piece
+                    parts.append(comp)
+                    size += len(comp)
+                comps = tuple(parts)
+                # side-effect free tests, cheapest first; (lhs, comps) == Instance(lhs, comps)
+                if size <= budget and (lhs, comps) not in derived and all(map(component_ok, comps)):
+                    inst = Instance(lhs, comps)
+                    derived[inst] = (index, premises)
+                    by_nt[lhs].append(inst)
                     changed = True
     return derived
 
@@ -114,12 +114,40 @@ def _witness(g: Grammar, target: Instance, derived: dict[Instance, _Provenance])
     return Derivation(tuple(steps))
 
 
-def _require_schema_free(g: Grammar, task: str) -> None:
+_Slot = NamedTuple("_Slot", [("premise", int), ("component", int)])
+
+
+@lru_cache(maxsize=64)
+def _compile(g: Grammar) -> tuple[tuple[int, str, tuple[str, ...], tuple], ...]:
+    """Validates g, requires it schema-free, and compiles its rules."""
     require_valid(g)
     if g.schemas:
-        raise SchemaPresentError(
-            f"{task} requires a schema-free grammar; expand or avoid schemas"
-        )
+        raise SchemaPresentError("requires a schema-free grammar; expand or avoid schemas")
+    compiled = []
+    for index, rule in enumerate(g.rules):
+        slots = {v: _Slot(i, j) for i, (_, vs) in enumerate(rule.rhs) for j, v in enumerate(vs)}
+        # terminals share the key False, so a run of them becomes one piece
+        templates = tuple(
+            tuple(key or tuple(v for _, v in items)
+                  for key, items in groupby(t, lambda item: item[0] == "var" and slots[item[1]]))
+            for t in rule.templates)
+        compiled.append((index, rule.lhs, tuple(nt for nt, _ in rule.rhs), templates))
+    return tuple(compiled)
+
+
+def _rules(g: Grammar) -> tuple:
+    try:
+        return _compile(g)
+    except TypeError:  # fields hold lists; any other TypeError recurs below
+        pass
+    return _compile.__wrapped__(g)
+
+
+def _require_schema_free(g: Grammar, task: str) -> None:
+    try:
+        _rules(g)
+    except SchemaPresentError as e:
+        raise SchemaPresentError(f"{task} {e}") from None
 
 
 def recognize_bounded(g: Grammar, s: Word) -> tuple[bool, Derivation | None]:
@@ -129,6 +157,7 @@ def recognize_bounded(g: Grammar, s: Word) -> tuple[bool, Derivation | None]:
     raises SchemaPresentError since its rule family cannot be enumerated.
     The returned witness always passes check_derivation and ends in S(s).
     """
+    s = tuple(s)
     _require_schema_free(g, "recognition")
     runs = {s[i:j] for i in range(len(s) + 1) for j in range(i, len(s) + 1)}
     derived = _close(g, len(s), runs.__contains__)

@@ -224,3 +224,151 @@ def test_golden_witness_bytes():
         digest.update(dumps_derivation(witness).encode("utf-8") if ok else b"0")
     assert accepted == 51
     assert digest.hexdigest() == GOLDEN_WITNESS_SHA256
+
+
+def test_list_words_match_their_tuples(abcd_grammar):
+    for w in [abcd_word(2), ("a", "b", "c"), (), abcd_word(1)[::-1]]:
+        assert recognize_bounded(abcd_grammar, list(w)) == recognize_bounded(abcd_grammar, w)
+    copy = copy_grammar()
+    assert recognize_bounded(copy, list("abab")) == recognize_bounded(copy, tuple("abab"))
+
+
+def random_rule(rng: random.Random, arity: dict[str, int], lhs: str, rhs: str) -> Rule:
+    """A non-deleting rule: the premises' variables, shuffled, are dealt
+    into the templates, and up to two terminals join each template."""
+    premises = tuple((nt, tuple(f"{nt.lower()}{i}{j}" for j in range(arity[nt])))
+                     for i, nt in enumerate(rhs))
+    names = [v for _, vs in premises for v in vs]
+    rng.shuffle(names)
+    templates = [[] for _ in range(arity[lhs])]
+    for v in names:
+        templates[rng.randrange(arity[lhs])].append(var(v))
+    for t in templates:
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            t.insert(rng.randint(0, len(t)), term(rng.choice("ab")))
+    return Rule(lhs, tuple(map(tuple, templates)), premises)
+
+
+def random_grammar(rng: random.Random) -> Grammar:
+    """A schema-free, non-deleting grammar over {a, b}: one nullary rule
+    for each of A, B (arity 3) and C, then rules of one or two premises."""
+    arity = {"S": 1, "A": rng.randint(1, 3), "B": 3, "C": rng.randint(1, 2)}
+    shapes = [(nt, "") for nt in "ABC"]
+    shapes += [(rng.choice("ABC"), "".join(rng.choices("ABC", k=rng.randint(1, 2))))
+               for _ in range(rng.randint(2, 4))]
+    shapes += [("S", "".join(rng.choices("ABC", k=rng.randint(1, 2))))
+               for _ in range(rng.randint(1, 2))]
+    rng.shuffle(shapes)
+    rules = tuple(random_rule(rng, arity, lhs, rhs) for lhs, rhs in shapes)
+    return Grammar(("a", "b"), tuple(arity.items()), "S", rules)
+
+
+def grammar_features(g: Grammar) -> set[str]:
+    """The rule shapes in g that the compiled closure must handle."""
+    out = set()
+    for rule in g.rules:
+        premise_of = {v: i for i, (_, names) in enumerate(rule.rhs) for v in names}
+        order = [premise_of[value] for t in rule.templates for kind, value in t if kind == "var"]
+        kinds = [[kind for kind, _ in t] for t in rule.templates]
+        checks = {
+            "nullary": not rule.rhs,
+            "repeated premise": len({nt for nt, _ in rule.rhs}) < len(rule.rhs),
+            "arity 3 premise": any(len(names) == 3 for _, names in rule.rhs),
+            "later premise first": order != sorted(order),
+            "empty template": [] in kinds,
+            "terminal run": any(a == b == "term" for k in kinds for a, b in zip(k, k[1:])),
+        }
+        out |= {name for name, hit in checks.items() if hit}
+    return out
+
+
+def test_closure_matches_naive_passes_on_random_grammars(monkeypatch):
+    # The naive reference tries every premise tuple on every pass, so a
+    # grammar whose budget-8 closure exceeds 200 instances (about one in
+    # forty) is skipped to keep the test to a second or so.
+    rng = random.Random(17)
+    grammars, features = [], set()
+    while len(grammars) < 40:
+        g = random_grammar(rng)
+        if len(recognize._close(g, 8, lambda _: True)) <= 200:
+            grammars.append(g)
+            features |= grammar_features(g)
+    assert features == {"nullary", "repeated premise", "arity 3 premise",
+                        "later premise first", "empty template", "terminal run"}
+    for g in grammars:
+        for budget in range(9):
+            semi = recognize._close(g, budget, lambda _: True)
+            assert list(semi.items()) == list(reference_close(g, budget, lambda _: True).items())
+    words = [w for length in range(6) for w in product("ab", repeat=length)]
+    fast = [recognize_bounded(g, w) for g in grammars for w in words]
+    monkeypatch.setattr(recognize, "_close", reference_close)
+    assert fast == [recognize_bounded(g, w) for g in grammars for w in words]
+    assert sum(accepted for accepted, _ in fast) == 128
+
+
+def test_invalid_and_schema_grammars_raise_on_every_call():
+    broken = Grammar((), (("S", 2),), "S", ())
+    before = recognize._compile.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(InvalidGrammarError):
+            recognize_bounded(broken, ())
+        with pytest.raises(InvalidGrammarError):
+            bounded_language(broken, 2)
+        with pytest.raises(SchemaPresentError, match="^recognition requires"):
+            recognize_bounded(make_grammar(1), ("a1", "A1"))
+        with pytest.raises(SchemaPresentError, match="^bounded language requires"):
+            bounded_language(make_grammar(1), 2)
+    assert recognize._compile.cache_info().currsize == before
+
+
+def listed(g: Grammar) -> Grammar:
+    """g with every tuple field a list, so that it cannot be hashed."""
+    return Grammar(
+        list(g.terminals), [list(d) for d in g.nonterminals], g.start,
+        [Rule(r.lhs, [[list(item) for item in t] for t in r.templates],
+              [[nt, list(names)] for nt, names in r.rhs]) for r in g.rules])
+
+
+def test_unhashable_grammars_recognize_like_their_tuple_twins(abcd_grammar):
+    for g, words in ((copy_grammar(), ["abab", "abba", "", "aa"]),
+                     (abcd_grammar, ["aabbccdd", "abcd", "abdc"])):
+        twin = listed(g)
+        with pytest.raises(TypeError):
+            hash(twin)
+        # compiled on every call: the cache neither stores nor counts it
+        before = recognize._compile.cache_info()
+        got = [recognize_bounded(twin, w) for w in map(tuple, words)]
+        language = bounded_language(twin, 6)
+        assert recognize._compile.cache_info() == before
+        assert got == [recognize_bounded(g, w) for w in map(tuple, words)]
+        assert language == bounded_language(g, 6)
+    with pytest.raises(InvalidGrammarError):
+        recognize_bounded(listed(Grammar((), (("S", 2),), "S", ())), ())
+
+
+def test_equal_grammars_built_apart_share_one_entry():
+    first, second = copy_grammar(), copy_grammar()
+    assert first == second and first is not second
+    w = tuple("abbabb")
+    expected = recognize_bounded(first, w)
+    size = recognize._compile.cache_info().currsize
+    again = recognize_bounded(second, w)
+    assert again == expected
+    assert dumps_derivation(again[1]) == dumps_derivation(expected[1])
+    assert recognize._compile.cache_info().currsize == size
+
+
+def test_more_grammars_than_the_cache_holds():
+    def exactly(count: int) -> Grammar:
+        """The grammar whose language is { a^count }."""
+        return Grammar(("a",), (("S", 1),), "S", (Rule("S", ((term("a"),) * count,)),))
+
+    size = recognize._compile.cache_info().maxsize
+    for _ in range(2):
+        for count in range(size + 6):
+            g = exactly(count)
+            accepted, witness = recognize_bounded(g, ("a",) * count)
+            assert accepted
+            assert check_derivation(g, witness) == Instance("S", (("a",) * count,))
+            assert recognize_bounded(g, ("a",) * (count + 1)) == (False, None)
+    assert recognize._compile.cache_info().currsize == size
