@@ -43,9 +43,6 @@ from .grammar import (
 )
 from .recognize import SchemaPresentError, bounded_language, recognize_bounded
 from .synthesis import (
-    HalfSplit,
-    RefinedSplit,
-    YZSplit,
     lift_to_lattice,
     make_yz,
     refine_and_split,
@@ -62,10 +59,7 @@ from .zn import (
     l1,
     make_grammar,
     make_token,
-    parse_word,
     token_step,
-    vadd,
-    vsub,
     word_to_path,
 )
 
@@ -79,19 +73,16 @@ __all__ = [
     "Grammar",
     "GrammarFormatError",
     "GrammarParams",
-    "HalfSplit",
     "Instance",
     "InternalInvariantError",
     "InvalidGrammarError",
     "LatticePath",
-    "RefinedSplit",
     "Rule",
     "RuleInstance",
     "SchemaPresentError",
     "SegmentPartition",
     "Vec",
     "Word",
-    "YZSplit",
     "alphabet",
     "apply_blocking",
     "bounded_language",
@@ -112,7 +103,6 @@ __all__ = [
     "make_grammar",
     "make_token",
     "make_yz",
-    "parse_word",
     "recognize_bounded",
     "refine_and_split",
     "require_valid",
@@ -122,7 +112,5 @@ __all__ = [
     "token_step",
     "validate_grammar",
     "var",
-    "vadd",
-    "vsub",
     "word_to_path",
 ]

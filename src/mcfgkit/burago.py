@@ -1,11 +1,11 @@
 """Interval partitions of lattice paths hitting half the displacement.
 
 Given a path and k, the search looks for parameters t1 <= s1 <= ... <=
-tk <= sk (half-unit grid, doubled coordinates) with
+tk <= sk on the half-unit grid with
 
-    sum_i (points[s_i] - points[t_i]) = points[-1] / 2,
+    sum_i (P(s_i) - P(t_i)) = P(2L) / 2,
 
-where points[-1] is the doubled displacement (paths start at the origin).
+where P(p) is the doubled point at p and P(2L) the doubled displacement.
 
 For k = floor((n+1)/2) such breakpoints always exist; the search is
 exhaustive, so failure would falsify the construction rather than the
@@ -21,9 +21,9 @@ lookup each. An early answer thus costs O(L) per candidate tried, and
 the worst case O(L^2), at most a third more than building the table up
 front. Each further interval (k >= 3, n = 5, 6) is an ordered, pruned
 and memoised loop over O(L^2) candidates on top of the table, which is
-built before that search starts. Vectors are compared as the
-path's packed int keys (LatticePath.keys), which is exact for the
-vectors the search builds. See burago_partition.
+built before that search starts. Points are the path's packed int
+keys (LatticePath.keys), which compare exactly for the vectors the
+search builds. See burago_partition.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
 
-from .zn import LatticePath, Vec, l1, vadd, vsub
+from .zn import LatticePath, Vec, l1
 
 
 class InternalInvariantError(RuntimeError):
@@ -62,16 +62,18 @@ class SegmentPartition:
         if any(not 0 <= b <= end for b in self.breakpoints):
             raise ValueError(f"breakpoints outside 0..{end}: {self.breakpoints}")
 
+    def _key_sum(self) -> int:
+        # ordered breakpoints: each coordinate of the sum lies in [-2L, 2L]
+        keys, bp = self.path.keys, self.breakpoints
+        return sum(keys[s] - keys[t] for t, s in zip(bp[::2], bp[1::2]))
+
     def sum_of_differences(self) -> Vec:
-        pts, bp = self.path.points, self.breakpoints
-        total = (0,) * self.path.n
-        for t, s in zip(bp[::2], bp[1::2]):
-            total = vadd(total, vsub(pts[s], pts[t]))
-        return total
+        """Sum of the doubled interval differences P(s_i) - P(t_i)."""
+        return self.path.vector(self._key_sum())
 
     def satisfies_identity(self) -> bool:
         """2 * sum of interval differences equals the path's displacement, exactly."""
-        return tuple(2 * c for c in self.sum_of_differences()) == self.path.points[-1]
+        return 2 * self._key_sum() == self.path.keys[-1]
 
     def to_json_dict(self) -> dict:
         return {"breakpoints": list(self.breakpoints), "doubled": True}
@@ -85,12 +87,12 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
 
     - Last interval: an index `at` from each point to the largest
       parameter at which the path takes it. The earliest (t, s) with
-      lo <= t <= s and points[s] - points[t] = rem is found by one scan
-      over t for the first with at[points[t] + rem] >= t; s is then the
+      lo <= t <= s and P(s) - P(t) = rem is found by one scan
+      over t for the first with at[P(t) + rem] >= t; s is then the
       first index of that point from t on: O(L). For k = 1 this is the
       whole search.
     - Second-to-last interval (k >= 2): a candidate (t, s) leaves a
-      feasible last interval for rest = rem - (points[s] - points[t])
+      feasible last interval for rest = rem - (P(s) - P(t))
       exactly when the last-interval scan from s finds one. A table
       `latest` from each difference vector to the largest t of any pair
       t <= s with that difference answers the same predicate as

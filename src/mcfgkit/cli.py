@@ -296,7 +296,8 @@ def _build_parser() -> argparse.ArgumentParser:
     command("recognize", "bounded recognition (schema-free grammars)", _cmd_recognize,
             _WORD, _JSON, grammar=True)
     command("burago", "breakpoints hitting half the displacement", _cmd_burago, _WORD, _JSON,
-            ("--k", {"type": int, "help": "interval count (default: floor((n+1)/2))"}))
+            ("--k", {"type": lambda text: _int_at_least(text, 1, "k"),
+                     "help": "interval count (default: floor((n+1)/2))"}))
     command("xcheck", "sweep words, cross-checking derive against check", _cmd_xcheck,
             ("--max-len", {"type": _nonnegative_count, "default": 6}),
             ("--sample", {"type": _nonnegative_count,

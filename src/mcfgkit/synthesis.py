@@ -6,11 +6,11 @@ w, each carried as a (start, end) token span of w. w is traced once, and
 every displacement test is an int difference of that path's keys:
 
   * small tuples (total length <= m) get an explicit base construction;
-  * when both concatenated halves displace, each half-path is split at
-    breakpoints hitting half its displacement (burago_partition), the
-    split is refined by the component boundaries, repaired onto lattice
-    points, and read off as two strictly shorter zero-displacement
-    m-tuples y and z plus the blocking that reassembles x from them;
+  * when both concatenated halves displace, each half-path is cut where
+    sum_i (P(s_i) - P(t_i)) = P(2L) / 2, P(p) its doubled point at p
+    (burago_partition); the cuts are refined by the component boundaries,
+    repaired onto lattice points, and read off as two strictly shorter
+    zero-displacement m-tuples y, z and the blocking that rebuilds x;
   * when the halves have zero displacement individually, the tuple is
     split in two directly (or re-cut first when one half carries no
     tokens at all, so that the next level strictly descends).
@@ -29,6 +29,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate, chain
+from operator import add
 from typing import Iterable, Iterator
 
 from .burago import InternalInvariantError, burago_partition
@@ -40,7 +41,6 @@ from .zn import (
     displacement,
     grammar_params,
     make_grammar,
-    vadd,
     word_to_path,
 )
 
@@ -116,9 +116,6 @@ class HalfSplit:
     def part_count(self) -> int:
         return len(self.boundaries) - 1
 
-    def part_span(self, p: int) -> tuple[int, int]:
-        return self.boundaries[p], self.boundaries[p + 1]
-
 
 @dataclass(frozen=True)
 class RefinedSplit:
@@ -133,13 +130,13 @@ class RefinedSplit:
 
     def condition_sum(self) -> Vec:
         """Sum of doubled part differences over S and T; zero when balanced."""
-        total = (0,) * self.left.path.n
+        # the halves pack at different bases, so each unpacks its own sum over
+        # disjoint parts: one key difference whose coordinates lie in [-2L, 2L]
+        sums = []
         for half in (self.left, self.right):
-            # disjoint parts: one key difference whose coordinates lie in [-2L, 2L]
             keys, b = half.path.keys, half.boundaries
-            diff = sum(keys[b[p + 1]] - keys[b[p]] for p in half.members)
-            total = vadd(total, half.path.vector(diff))
-        return total
+            sums.append(half.path.vector(sum(keys[b[p + 1]] - keys[b[p]] for p in half.members)))
+        return tuple(map(add, *sums))
 
 
 @dataclass(frozen=True)
@@ -332,8 +329,7 @@ def make_yz(split: RefinedSplit) -> YZSplit:
     blocks: list[list[int]] = [[] for _ in range(m)]
     for h, half in enumerate((split.left, split.right)):
         ladder = (0,) + half.component_cuts + (2 * len(half.path),)
-        for p in range(half.part_count):
-            lo, hi = half.part_span(p)
+        for p, (lo, hi) in enumerate(zip(half.boundaries, half.boundaries[1:])):
             if lo % 2 or hi % 2:
                 raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
             comp = _owner_component(ladder, hi)

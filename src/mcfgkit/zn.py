@@ -5,15 +5,14 @@ All path coordinates are stored doubled so that edge midpoints are exact
 integers: a unit step changes one coordinate by 2 and a path of L edges is
 parameterized by half-units p = 0..2L. Lattice points sit at even p (all
 coordinates even) and edge midpoints at odd p (exactly one odd coordinate).
-Every path starts at the origin and is read through its `points` (indexed
-by p, so `points[-1]` is the doubled displacement) and its `steps`.
 
-Hot loops read a path through its `keys` instead: each doubled point
-packed into one int, sum(c[i] * base**i) with base a power of two above
-10L, built in C by accumulating per-step increments. Packing is linear,
-so differences of keys are keys of differences, and it is injective on
-vectors whose coordinates differ by less than base; `vector` unpacks a
-key whose coordinates lie within base/2 of zero.
+Every path starts at the origin and is read through its `steps` and its
+`keys`: the doubled point at each p packed into one int, sum(c[i] *
+base**i) with base a power of two above 10L, built in C by accumulating
+per-step increments; keys[-1] is the doubled displacement. Packing is
+linear, so differences of keys are keys of differences, and it is
+injective on vectors whose coordinates differ by less than base; `vector`
+unpacks a key whose coordinates lie within base/2 of zero.
 
 Words decode through a per-rank table from each of the 2n tokens to its
 (axis, sign); a word with a token outside it goes through the per-token
@@ -48,13 +47,6 @@ def token_step(token: str) -> tuple[int, int]:
     if m is None:
         raise ValueError(f"malformed generator token: {token!r}")
     return int(m.group(2)), 1 if m.group(1) == "a" else -1
-
-
-def parse_word(text: str) -> Word:
-    tokens = tuple(text.split())
-    for t in tokens:
-        token_step(t)
-    return tokens
 
 
 def alphabet(n: int) -> tuple[str, ...]:
@@ -106,14 +98,6 @@ def _key_steps(n: int, base: int) -> dict[tuple[int, int], int]:
             for axis in range(1, n + 1) for sign in (1, -1)}
 
 
-def vadd(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vsub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def l1(v: Vec) -> int:
     return sum(abs(c) for c in v)
 
@@ -138,17 +122,6 @@ class LatticePath:
     def __len__(self) -> int:
         """Number of edges."""
         return len(self.steps)
-
-    @cached_property
-    def points(self) -> tuple[Vec, ...]:
-        """Doubled coordinates at every half-unit parameter 0..2L."""
-        cur = [0] * self.n
-        pts = [tuple(cur)]
-        for axis, sign in self.steps:
-            for _ in range(2):
-                cur[axis - 1] += sign
-                pts.append(tuple(cur))
-        return tuple(pts)
 
     @property
     def base(self) -> int:
@@ -180,8 +153,8 @@ class LatticePath:
 
     def step_at(self, p: int) -> tuple[int, int]:
         """The (axis, sign) of the edge whose interior contains odd parameter p."""
-        if p % 2 == 0:
-            raise ValueError(f"parameter {p} is a lattice point, not an edge interior")
+        if p % 2 == 0 or not 0 < p < 2 * len(self.steps):
+            raise ValueError(f"parameter {p} is not inside an edge of 0..{2 * len(self.steps)}")
         return self.steps[p // 2]
 
 

@@ -12,6 +12,7 @@ import hashlib
 import random
 import time
 from itertools import product
+from operator import sub
 
 from mcfgkit import (
     Instance,
@@ -28,7 +29,6 @@ from mcfgkit import (
     recognize_bounded,
     synthesize_word,
     validate_grammar,
-    vsub,
     word_to_path,
 )
 from mcfgkit.cli import run
@@ -39,6 +39,8 @@ from wordgen import (
     abcd_oracle,
     all_words,
     block_word,
+    interval_sum,
+    points,
     random_word,
     random_zero_displacement_word,
     shuffled_pairs,
@@ -285,7 +287,8 @@ def test_bounded_recognizer_matches_counted_quads_oracle():
 
 
 def test_breakpoint_identity_on_random_paths():
-    """Interval sums hit exactly half the displacement on random paths."""
+    """Interval sums hit exactly half the displacement on random paths,
+    checked both by the library and against points walked from the steps."""
     problems: list[str] = []
     checked = 0
     rng = random.Random(424242)
@@ -298,11 +301,15 @@ def test_breakpoint_identity_on_random_paths():
             ordered = all(
                 a <= b for a, b in zip(part.breakpoints, part.breakpoints[1:])
             )
+            pts = points(path)
+            half = interval_sum(pts, part.breakpoints)
             if not (
                 len(part.breakpoints) == 2 * k
                 and ordered
                 and all(0 <= b <= 2 * len(path) for b in part.breakpoints)
                 and part.satisfies_identity()
+                and part.sum_of_differences() == half
+                and tuple(2 * c for c in half) == pts[-1]
             ):
                 problems.append(f"n={n} {w}: {part.breakpoints}")
                 break
@@ -332,7 +339,7 @@ def test_three_axis_diagonal_requires_two_intervals():
         (t, s)
         for t in range(len(pts))
         for s in range(t, len(pts))
-        if vsub(pts[s], pts[t]) == half
+        if tuple(map(sub, pts[s], pts[t])) == half
     ]
 
     single_fails = False

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from itertools import combinations_with_replacement, repeat
+from itertools import repeat
 
 import pytest
 from hypothesis import given
@@ -18,11 +18,17 @@ from mcfgkit import (
     grammar_params,
     l1,
     make_token,
-    vadd,
     word_to_path,
 )
 
-from wordgen import block_word, random_word, shuffled_pairs, walk_and_return
+from wordgen import (
+    block_word,
+    lex_min_reference,
+    points,
+    random_word,
+    shuffled_pairs,
+    walk_and_return,
+)
 
 
 def test_frozen_examples():
@@ -48,7 +54,7 @@ def test_partition_identity_and_shape():
     assert part.breakpoints == (4, 5)
     assert part.sum_of_differences() == (0, 1)
     assert part.satisfies_identity()
-    assert path.points[-1] == (0, 2)
+    assert path.vector(path.keys[-1]) == (0, 2)
 
 
 def test_json_shape():
@@ -105,22 +111,7 @@ def test_identity_on_random_paths(n, seed):
         a <= b for a, b in zip(part.breakpoints, part.breakpoints[1:])
     )
     assert part.satisfies_identity()
-    doubled_sum = vadd(part.sum_of_differences(), part.sum_of_differences())
-    assert doubled_sum == path.points[-1]
-
-
-def lex_min_reference(path, k):
-    """The first ordered 2k-tuple, in lexicographic order, whose intervals sum
-    to half the displacement, or None."""
-    pts = path.points
-    for bp in combinations_with_replacement(range(len(pts)), 2 * k):
-        doubled = tuple(
-            2 * sum(pts[s][i] - pts[t][i] for t, s in zip(bp[::2], bp[1::2]))
-            for i in range(path.n)
-        )
-        if doubled == pts[-1]:
-            return bp
-    return None
+    assert tuple(2 * c for c in part.sum_of_differences()) == points(path)[-1]
 
 
 def test_breakpoints_match_brute_force_lex_min():
@@ -168,7 +159,7 @@ def test_breakpoints_on_straight_lines_at_base_boundaries(n):
         for word in straight_lines(n, length):
             path = word_to_path(word, n)
             bases.add(path.base)
-            assert [path.vector(key) for key in path.keys] == list(path.points)
+            assert [path.vector(key) for key in path.keys] == list(points(path))
             assert burago_partition(path, k).breakpoints == lex_min_reference(path, k), word
     assert len(bases) == 2
 

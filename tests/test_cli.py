@@ -542,6 +542,9 @@ GOLDEN = [
     ("burago --word a1", 2, "",
      "usage: mcfgkit burago [-h] --n N --word WORD [--json] [--k K]\n"
      "mcfgkit burago: error: the following arguments are required: --n\n"),
+    ("burago --n 1 --word 'a1 a1' --k 0", 2, "",
+     "usage: mcfgkit burago [-h] --n N --word WORD [--json] [--k K]\n"
+     "mcfgkit burago: error: argument --k: k must be >= 1\n"),
     ("xcheck", 2, "",
      "usage: mcfgkit xcheck [-h] --n N [--max-len MAX_LEN] [--sample SAMPLE]\n"
      "                      [--seed SEED] [--json]\n"

@@ -24,7 +24,6 @@ from mcfgkit import (
     lift_to_lattice,
     make_grammar,
     make_yz,
-    parse_word,
     refine_and_split,
     synthesize,
     synthesize_word,
@@ -130,7 +129,7 @@ def test_leading_component_split_synthesizes():
 
 def test_trailing_component_split_synthesizes():
     g = make_grammar(1)
-    word = parse_word("a1 a1 A1 A1 a1 A1 a1 A1")
+    word = tuple("a1 a1 A1 A1 a1 A1 a1 A1".split())
     x = ((),) * (grammar_params(1).m - 1) + (word,)
     final = check_derivation(g, synthesize(x, g))
     assert final == Instance("I", x)
@@ -138,7 +137,7 @@ def test_trailing_component_split_synthesizes():
 
 def test_zero_displacement_halves_synthesize():
     g = make_grammar(1)
-    quad = parse_word("a1 A1 a1 A1")
+    quad = tuple("a1 A1 a1 A1".split())
     x = (quad, (), (), quad, (), ())
     final = check_derivation(g, synthesize(x, g))
     assert final == Instance("I", x)
@@ -298,7 +297,7 @@ def test_adversarial_words_synthesize(split_ks):
     cases = (
         (("a1",) * 12 + ("A1",) * 12, 1),
         (("a1", "A1") * 10, 1),
-        (parse_word("a1 a2 a3 A3 A2 A1") * 3, 3),
+        (tuple("a1 a2 a3 A3 A2 A1".split()) * 3, 3),
         (rising(4, 4), 4),
         (rising(5, 5), 5),
         (rising(6, 4), 6),
@@ -321,7 +320,7 @@ def test_list_words_derive_like_tuples():
 
 
 def test_synthesis_is_deterministic():
-    word = parse_word("a1 a2 A2 a1 A1 A1 a2 A2")
+    word = tuple("a1 a2 A2 a1 A1 A1 a2 A2".split())
     assert synthesize_word(word, 2) == synthesize_word(word, 2)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import sub
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -15,15 +17,12 @@ from mcfgkit import (
     l1,
     make_grammar,
     make_token,
-    parse_word,
     token_step,
     validate_grammar,
-    vadd,
-    vsub,
     word_to_path,
 )
 
-from wordgen import zero_displacement_words
+from wordgen import points, zero_displacement_words
 
 
 @given(st.integers(1, 50), st.sampled_from((1, -1)))
@@ -49,14 +48,6 @@ def test_make_token_rejects_bad_spec():
         make_token(0, 1)
     with pytest.raises(ValueError):
         make_token(1, 2)
-
-
-def test_parse_and_format_word():
-    assert parse_word("a1 A2  a1") == ("a1", "A2", "a1")
-    assert parse_word("") == ()
-    assert parse_word(" ".join(("a1", "A2"))) == ("a1", "A2")
-    with pytest.raises(ValueError):
-        parse_word("a1 bogus")
 
 
 def test_alphabet_order():
@@ -101,22 +92,20 @@ def test_displacement_is_the_signed_letter_count(case):
     n, word = case
     expected = tuple(word.count(f"a{i}") - word.count(f"A{i}") for i in range(1, n + 1))
     assert displacement(tuple(word), n) == expected
-    assert word_to_path(tuple(word), n).points[-1] == tuple(2 * c for c in expected)
+    path = word_to_path(tuple(word), n)
+    assert path.vector(path.keys[-1]) == tuple(2 * c for c in expected)
 
 
 def test_vector_helpers():
-    assert vadd((1, 2), (3, -5)) == (4, -3)
-    assert vsub((1, 2), (3, -5)) == (-2, 7)
     assert l1((0, -3, 2)) == 5
 
 
 def test_path_points_are_doubled_half_units():
     path = word_to_path(("a1", "A2", "a2"), 2)
     assert len(path) == 3
-    assert path.points == (
-        (0, 0), (1, 0), (2, 0), (2, -1), (2, -2), (2, -1), (2, 0),
-    )
-    assert path.points[-1] == (2, 0)
+    expected = ((0, 0), (1, 0), (2, 0), (2, -1), (2, -2), (2, -1), (2, 0))
+    assert points(path) == expected
+    assert tuple(map(path.vector, path.keys)) == expected
     assert path.step_at(1) == (1, 1)
     assert path.step_at(3) == (2, -1)
 
@@ -126,20 +115,23 @@ def test_path_points_are_doubled_half_units():
 def test_keys_pack_the_points(case):
     n, word = case
     path = word_to_path(tuple(word), n)
-    keys, points = path.keys, path.points
+    keys, pts = path.keys, points(path)
     assert path.base > 10 * len(path)
-    assert len(keys) == len(points)
-    assert [path.vector(key) for key in keys] == list(points)
+    assert len(keys) == len(pts)
+    assert [path.vector(key) for key in keys] == list(pts)
     # packing is linear: a difference of keys unpacks to the difference of points
     for t, s in ((0, len(keys) - 1), (len(keys) // 3, 2 * len(keys) // 3)):
-        assert path.vector(keys[s] - keys[t]) == vsub(points[s], points[t])
-        assert path.vector(keys[t] - keys[s]) == vsub(points[t], points[s])
+        assert path.vector(keys[s] - keys[t]) == tuple(map(sub, pts[s], pts[t]))
+        assert path.vector(keys[t] - keys[s]) == tuple(map(sub, pts[t], pts[s]))
 
 
 def test_path_parameter_validation():
-    path = word_to_path(("a1",), 1)
-    with pytest.raises(ValueError):
-        path.step_at(0)
+    path = word_to_path(("a1", "a2"), 2)
+    assert path.step_at(1) == (1, 1) and path.step_at(3) == (2, 1)
+    # lattice points, and odd parameters outside the path, name no edge
+    for p in (0, 2, -1, 2 * len(path), 2 * len(path) + 1):
+        with pytest.raises(ValueError):
+            path.step_at(p)
 
 
 def test_path_construction_validation():
@@ -154,13 +146,13 @@ def test_path_construction_validation():
 @given(zero_displacement_words(2, max_pairs=6))
 def test_path_parity_invariants(word):
     path = word_to_path(word, 2)
-    for p, point in enumerate(path.points):
+    for p, point in enumerate(map(path.vector, path.keys)):
         odd = [c % 2 for c in point]
         if p % 2 == 0:
             assert sum(odd) == 0  # lattice point
         else:
             assert sum(odd) == 1  # edge midpoint
-    assert path.points[-1] == tuple(2 * c for c in displacement(word, 2))
+    assert path.vector(path.keys[-1]) == tuple(2 * c for c in displacement(word, 2))
 
 
 def test_grammar_params_values():

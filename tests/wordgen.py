@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import random
-from itertools import product
+from itertools import combinations_with_replacement, product
 from typing import Iterator
 
 import hypothesis.strategies as st
 
-from mcfgkit import Word, alphabet, make_token
+from mcfgkit import LatticePath, Vec, Word, alphabet, make_token
 
 
 def all_words(n: int, max_len: int) -> Iterator[Word]:
@@ -70,6 +70,34 @@ def zero_displacement_words(n: int, min_pairs: int = 0, max_pairs: int = 7):
         return tokens
 
     return pairs.map(expand).flatmap(st.permutations).map(tuple)
+
+
+def points(path: LatticePath) -> tuple[Vec, ...]:
+    """Doubled coordinates at every half-unit parameter 0..2L, walked from the
+    steps alone: the reference that the packed keys are checked against."""
+    cur = [0] * path.n
+    pts = [tuple(cur)]
+    for axis, sign in path.steps:
+        for _ in range(2):
+            cur[axis - 1] += sign
+            pts.append(tuple(cur))
+    return tuple(pts)
+
+
+def interval_sum(pts: tuple[Vec, ...], bp: tuple[int, ...]) -> Vec:
+    """sum_i (pts[s_i] - pts[t_i]) over the breakpoints (t1, s1, ..., tk, sk)."""
+    pairs = list(zip(bp[::2], bp[1::2]))
+    return tuple(sum(pts[s][i] - pts[t][i] for t, s in pairs) for i in range(len(pts[0])))
+
+
+def lex_min_reference(path: LatticePath, k: int) -> tuple[int, ...] | None:
+    """The first ordered 2k-tuple, in lexicographic order, whose intervals sum
+    to half the displacement, or None."""
+    pts = points(path)
+    for bp in combinations_with_replacement(range(len(pts)), 2 * k):
+        if tuple(2 * c for c in interval_sum(pts, bp)) == pts[-1]:
+            return bp
+    return None
 
 
 def abcd_oracle(word: Word) -> bool:
