@@ -12,17 +12,20 @@ exhaustive, so failure would falsify the construction rather than the
 input, and raises InternalInvariantError with a diagnostic payload.
 
 The search is meet-in-the-middle (Horowitz & Sahni, JACM 1974): a point
-index answers the last interval in O(L), which is the whole search for
-k = 1 (n = 1, 2). For k = 2 (n = 3, 4) each candidate for the first
-interval is checked by such a scan until the scans have read a third as
-many rows as a latest-start table over all pairs has entries; only then
-is the table built, and it answers the remaining candidates with one
-lookup each. An early answer thus costs O(L) per candidate tried, and
-the worst case O(L^2), at most a third more than building the table up
-front. Each further interval (k >= 3, n = 5, 6) is an ordered, pruned
-and memoised loop over O(L^2) candidates on top of the table, which is
-built before that search starts. Points are the path's packed int
-keys (LatticePath.keys), which compare exactly for the vectors the
+index answers the last interval with one O(L) scan. For k = 1 (n = 1, 2)
+that is the whole search, and it scans before it builds the index: row 0
+is one scan of the keys for the target point, and the index is built only
+when that scan fails, so the worst case reads one path length more than
+the index alone, still O(L). For k = 2 (n = 3, 4) each candidate for the
+first interval is checked by an index scan until the scans have read a
+third as many rows as a latest-start table over all pairs has entries;
+only then is the table built, and it answers the remaining candidates
+with one lookup each. An early answer thus costs O(L) per candidate
+tried, and the worst case O(L^2), at most a third more than building the
+table up front. Each further interval (k >= 3, n = 5, 6) is an ordered,
+pruned and memoised loop over O(L^2) candidates on top of the table,
+which is built before that search starts. Points are the path's packed
+int keys (LatticePath.keys), which compare exactly for the vectors the
 search builds. See burago_partition.
 """
 
@@ -56,10 +59,10 @@ class SegmentPartition:
             raise ValueError(
                 f"expected {2 * self.k} breakpoints, got {len(self.breakpoints)}"
             )
-        if any(b > a for a, b in zip(self.breakpoints[1:], self.breakpoints)):
+        if sorted(self.breakpoints) != list(self.breakpoints):
             raise ValueError(f"breakpoints not ordered: {self.breakpoints}")
         end = 2 * len(self.path)
-        if any(not 0 <= b <= end for b in self.breakpoints):
+        if self.breakpoints and not 0 <= self.breakpoints[0] <= self.breakpoints[-1] <= end:
             raise ValueError(f"breakpoints outside 0..{end}: {self.breakpoints}")
 
     def _key_sum(self) -> int:
@@ -89,8 +92,15 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
       parameter at which the path takes it. The earliest (t, s) with
       lo <= t <= s and P(s) - P(t) = rem is found by one scan
       over t for the first with at[P(t) + rem] >= t; s is then the
-      first index of that point from t on: O(L). For k = 1 this is the
-      whole search.
+      first index of that point from t on: O(L).
+    - k = 1: the last interval is the whole search, and it scans before
+      it builds `at`. Row 0's point P(0) + rem is the target itself
+      (P(0) = 0), so one `keys.index` scan finds s or shows that row 0
+      has no answer. The scan allowance is one path length, end + 1
+      rows, and a failed scan of row 0 reads all of them; only then is
+      `at` built, and it answers rows 1 onwards. An answer at t1 = 0
+      thus costs s + 1 comparisons and no index, and the worst case
+      reads end + 1 rows more than building `at` up front: O(L).
     - Second-to-last interval (k >= 2): a candidate (t, s) leaves a
       feasible last interval for rest = rem - (P(s) - P(t))
       exactly when the last-interval scan from s finds one. A table
@@ -142,15 +152,16 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     end = len(keys) - 1
     # the lattice endpoint has even coordinates, so the halving is exact
     target = keys[-1] // 2
-    # later parameters overwrite earlier ones, so each point keeps its largest
-    at = dict(zip(keys, range(end + 1)))
-
-    def last(lo: int, rem: int) -> tuple[int, int] | None:
-        get = at.get
-        for t, key in enumerate(keys[lo:], lo):
-            if get(key + rem, -1) >= t:
-                return t, keys.index(key + rem, t)
-        return None
+    if pairs == 1:
+        try:
+            # row 0 takes the point keys[0] + target = target; its first index is s
+            hit = (0, keys.index(target))
+        except ValueError:
+            hit = _last(keys, _point_index(keys), 1, target)
+        if hit is None:
+            raise _no_tuple(path, k, target)
+        return SegmentPartition(path, k, (0, 0) * pad + hit)
+    at = _point_index(keys)
 
     # at k >= 3 the level that uses the pair table is entered again from many
     # earlier candidates, so they share one; k = 2 builds it only if its scans
@@ -163,7 +174,7 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     def search(pair: int, lo: int, rem: int) -> bool:
         nonlocal latest, budget
         if pair == pairs - 1:  # one interval; with more, pair k - 2 places the last two
-            hit = last(lo, rem)
+            hit = _last(keys, at, lo, rem)
             if hit is None:
                 return False
             chosen.extend(hit)
@@ -186,7 +197,7 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
                 if latest is None:
                     # scan while the budget lasts; a failed scan read end + 1 - s rows
                     while budget > 0 and s <= end:
-                        hit = last(s, shifted - keys[s])
+                        hit = _last(keys, at, s, shifted - keys[s])
                         if hit is not None:
                             chosen.extend((t, s))
                             chosen.extend(hit)
@@ -200,7 +211,7 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
                 for s in range(s, end + 1):
                     if get(shifted - keys[s], -1) >= s:
                         chosen.extend((t, s))
-                        chosen.extend(last(s, shifted - keys[s]))
+                        chosen.extend(_last(keys, at, s, shifted - keys[s]))
                         return True
         else:
             for t in rows:
@@ -218,16 +229,30 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     found = search(0, 0, target)
     del search  # the closure refers to itself; drop the cycle with its tables
     if not found:
-        raise InternalInvariantError(
-            "no breakpoint tuple reaches half the displacement",
-            {
-                "n": path.n,
-                "steps": path.steps,
-                "k": k,
-                "target_doubled": path.vector(target),
-            },
-        )
+        raise _no_tuple(path, k, target)
     return SegmentPartition(path, k, tuple(chosen))
+
+
+def _no_tuple(path: LatticePath, k: int, target: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        "no breakpoint tuple reaches half the displacement",
+        {"n": path.n, "steps": path.steps, "k": k, "target_doubled": path.vector(target)},
+    )
+
+
+def _point_index(keys: tuple[int, ...]) -> dict[int, int]:
+    """Each point mapped to the largest parameter at which the path takes it."""
+    # later parameters overwrite earlier ones
+    return dict(zip(keys, range(len(keys))))
+
+
+def _last(keys: tuple[int, ...], at: dict[int, int], lo: int, rem: int) -> tuple[int, int] | None:
+    """The earliest (t, s) with lo <= t <= s and keys[s] - keys[t] == rem, or None."""
+    get = at.get
+    for t, key in enumerate(keys[lo:], lo):
+        if get(key + rem, -1) >= t:
+            return t, keys.index(key + rem, t)
+    return None
 
 
 def _pair_table(keys: tuple[int, ...]) -> dict[int, int]:

@@ -221,19 +221,28 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _expect_keys(entry: dict, known: tuple[str, ...], where: str) -> None:
+    """Reject a key the format does not define, naming the place and the key."""
+    unknown = [key for key in entry if key not in known]
+    if unknown:
+        raise GrammarFormatError(f"{where}: unknown key {unknown[0]!r}")
+
+
 def grammar_from_json_dict(data: object) -> Grammar:
     _expect(isinstance(data, dict), "grammar must be a JSON object")
     assert isinstance(data, dict)
+    _expect_keys(data, ("terminals", "nonterminals", "start", "rules", "schemas"), "grammar")
     terminals = data.get("terminals")
     _expect(isinstance(terminals, list) and all(isinstance(t, str) for t in terminals),
             "terminals must be a list of strings")
     nts = data.get("nonterminals")
     _expect(isinstance(nts, list), "nonterminals must be a list")
     decls: list[tuple[str, int]] = []
-    for entry in nts:
+    for idx, entry in enumerate(nts):
         _expect(isinstance(entry, dict) and isinstance(entry.get("name"), str)
                 and _is_int(entry.get("arity")),
                 "nonterminal entries must be {name, arity}")
+        _expect_keys(entry, ("name", "arity"), f"nonterminal {idx}")
         decls.append((entry["name"], entry["arity"]))
     start = data.get("start")
     _expect(isinstance(start, str), "start must be a string")
@@ -243,28 +252,32 @@ def grammar_from_json_dict(data: object) -> Grammar:
     for idx, entry in enumerate(raw_rules):
         where = f"rule {idx}"
         _expect(isinstance(entry, dict), f"{where}: must be an object")
+        _expect_keys(entry, ("lhs", "rhs"), where)
         lhs = entry.get("lhs")
         _expect(isinstance(lhs, dict) and isinstance(lhs.get("nt"), str)
                 and isinstance(lhs.get("templates"), list),
                 f"{where}: lhs must be {{nt, templates}}")
+        _expect_keys(lhs, ("nt", "templates"), f"{where} lhs")
         templates = tuple(_template_from_json(t, where) for t in lhs["templates"])
         raw_rhs = entry.get("rhs", [])
         _expect(isinstance(raw_rhs, list), f"{where}: rhs must be a list")
         rhs: list[tuple[str, tuple[str, ...]]] = []
-        for r in raw_rhs:
+        for j, r in enumerate(raw_rhs):
             _expect(isinstance(r, dict) and isinstance(r.get("nt"), str)
                     and isinstance(r.get("vars"), list)
                     and all(isinstance(v, str) for v in r["vars"]),
                     f"{where}: rhs entries must be {{nt, vars}}")
+            _expect_keys(r, ("nt", "vars"), f"{where} rhs {j}")
             rhs.append((r["nt"], tuple(r["vars"])))
         rules.append(Rule(lhs["nt"], templates, tuple(rhs)))
     raw_schemas = data.get("schemas", [])
     _expect(isinstance(raw_schemas, list), "schemas must be a list")
     schemas: list[CombineSchema] = []
-    for entry in raw_schemas:
+    for idx, entry in enumerate(raw_schemas):
         _expect(isinstance(entry, dict) and isinstance(entry.get("nt"), str)
                 and _is_int(entry.get("arity")),
                 "schema entries must be {nt, arity}")
+        _expect_keys(entry, ("nt", "arity"), f"schema {idx}")
         schemas.append(CombineSchema(entry["nt"], entry["arity"]))
     return Grammar(tuple(terminals), tuple(decls), start, tuple(rules), tuple(schemas))
 

@@ -25,10 +25,9 @@ point is involved anywhere.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse, repeat
 from operator import add
 from typing import Iterable, Iterator
 
@@ -53,27 +52,11 @@ def _consecutive(sizes: Iterable[int]) -> tuple[Span, ...]:
     return tuple(zip(ends, ends[1:]))
 
 
-def _cut_params(spans: tuple[Span, ...]) -> tuple[int, ...]:
-    """Internal component boundaries as doubled parameters, multiplicity kept."""
-    return tuple(accumulate(2 * (e - s) for s, e in spans[:-1]))
-
-
-def _owner_component(full_cuts: tuple[int, ...], hi: int) -> int:
-    """1-based index of the component owning a part ending at parameter hi.
-
-    full_cuts is the whole boundary ladder (0, c1, ..., total). Boundary
-    lists always contain every component cut, so a nonempty part never
-    straddles one and the leftmost cut at or past hi pins the owner;
-    empty parts land with the earliest component ending at their point.
-    """
-    return max(bisect_left(full_cuts, hi), 1)
-
-
 def _pad_to_last(blocks: list[list[int]], total_slots: int) -> Blocking:
     """Append every unused source slot, ascending, to the final block."""
-    used = {s for b in blocks for s in b}
-    blocks[-1].extend(s for s in range(1, total_slots + 1) if s not in used)
-    return Blocking(tuple(tuple(b) for b in blocks))
+    used = set(chain.from_iterable(blocks))
+    blocks[-1].extend(filterfalse(used.__contains__, range(1, total_slots + 1)))
+    return Blocking(tuple(map(tuple, blocks)))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -135,7 +118,7 @@ class RefinedSplit:
         sums = []
         for half in (self.left, self.right):
             keys, b = half.path.keys, half.boundaries
-            sums.append(half.path.vector(sum(keys[b[p + 1]] - keys[b[p]] for p in half.members)))
+            sums.append(half.path.vector(sum([keys[b[p + 1]] - keys[b[p]] for p in half.members])))
         return tuple(map(add, *sums))
 
 
@@ -148,7 +131,8 @@ class YZSplit:
     blocking: Blocking
 
 
-def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int) -> HalfSplit:
+def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int,
+                prefer_large: bool) -> HalfSplit:
     """Refine one half by its component cuts and its breakpoint partition.
 
     The half's search path is its spans' steps sliced off the word's path,
@@ -156,37 +140,24 @@ def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int) -> HalfSplit
     at equal parameters component cuts come first and breakpoints follow
     in their own order (t before s), fixing which empty parts count as
     inside a segment. Parts between an odd number of passed breakpoints
-    lie inside the segments, and those form the initial member set.
+    lie inside the segments, and those form the initial member set. It is
+    then swapped with its complement if needed, so that it is the larger
+    side when prefer_large and the smaller otherwise; the two sides always
+    differ in size (their total is odd), so the comparison never ties.
     """
-    half = LatticePath(path.n, tuple(chain.from_iterable(path.steps[s:e] for s, e in spans)))
-    partition = burago_partition(half, k)
-    cuts = _cut_params(spans)
-    merged: list[tuple[int, int]] = sorted(
-        [(c, 0) for c in cuts] + [(b, 1) for b in partition.breakpoints]
-    )
-    boundaries = (0,) + tuple(v for v, _ in merged) + (2 * len(half),)
-    members = set()
-    passed = 0
-    for p in range(len(boundaries) - 1):
-        if p >= 1 and merged[p - 1][1] == 1:
-            passed += 1
-        if passed % 2 == 1:
-            members.add(p)
-    return HalfSplit(half, spans, cuts, boundaries, frozenset(members))
-
-
-def _normalize(half: HalfSplit, prefer_large: bool) -> HalfSplit:
-    """Swap members with their complement to set the cardinality ordering.
-
-    The two sides always differ in size (their total is odd), so the
-    comparison never ties; equality would keep the original side.
-    """
-    size = len(half.members)
-    rest = half.part_count - size
-    if (size < rest) if prefer_large else (size > rest):
-        flipped = frozenset(range(half.part_count)) - half.members
-        return replace(half, members=flipped)
-    return half
+    half = path.sub_path(spans)
+    breakpoints = burago_partition(half, k).breakpoints
+    # the component ends as doubled parameters; all but the last are the cuts
+    ends = tuple(accumulate([2 * (e - s) for s, e in spans]))
+    cuts = ends[:-1]
+    boundaries = (0, *sorted(cuts + breakpoints), ends[-1])
+    # breakpoint j is boundary bisect_right(cuts, b) + j + 1, as cuts come first at ties
+    at = [bisect_right(cuts, b) + j for j, b in enumerate(breakpoints, 1)]
+    members = frozenset(chain.from_iterable(map(range, at[::2], at[1::2])))
+    count = len(boundaries) - 1
+    if (2 * len(members) < count) if prefer_large else (2 * len(members) > count):
+        members = frozenset(range(count)) - members
+    return HalfSplit(half, spans, cuts, boundaries, members)
 
 
 def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedSplit:
@@ -208,9 +179,8 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedS
         raise ValueError(f"tuple displacement must be zero, got {whole}")
     if not sum(ends[: m // 2]):
         raise ValueError("both halves must have nonzero displacement")
-    left = _normalize(_split_half(path, x[: m // 2], k), prefer_large=True)
-    right = _normalize(_split_half(path, x[m // 2 :], k), prefer_large=False)
-    return RefinedSplit(left, right)
+    return RefinedSplit(_split_half(path, x[: m // 2], k, True),
+                        _split_half(path, x[m // 2 :], k, False))
 
 
 def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
@@ -231,86 +201,89 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
     """
     halves = (split.left, split.right)
     bounds = [list(half.boundaries) for half in halves]
-    total = sum(b[-1] for b in bounds)
-    inside = sum(b[p + 1] - b[p] for b, half in zip(bounds, halves) for p in half.members)
-
-    def odd_positions() -> list[tuple[int, int]]:
-        return [
-            (h, i)
-            for h in (0, 1)
-            for i in range(1, len(bounds[h]) - 1)
-            if bounds[h][i] % 2
-        ]
-
-    def side(h: int, i: int) -> int:
-        """The change in member-side extent when boundary i moves by +1: 1, -1 or 0."""
-        members = halves[h].members
-        return ((i - 1) in members) - (i in members)
-
-    def crossing(h: int, i: int) -> tuple[int, int] | None:
-        """(edge axis, effect sign) of boundary i, None between same sides.
-
-        Moving the boundary by delta changes the member-side balance sum
-        by delta * sign on the axis of the edge the boundary sits on.
-        """
-        sign = side(h, i)
-        if not sign:
-            return None
-        axis, edge_sign = halves[h].path.step_at(bounds[h][i])
-        return axis, edge_sign * sign
-
-    def candidates(odds: list[tuple[int, int]]) -> Iterator[list[tuple[int, int, int]]]:
-        """Moves in trial order: boundaries in order, partners in order, -1 before +1."""
-        for h, i in odds:
-            effect = crossing(h, i)
-            if effect is None:
-                for delta in (-1, 1):
-                    yield [(h, i, delta)]
-                continue
-            axis, sign = effect
-            for h2, j in odds:
-                if (h2, j) == (h, i):
-                    continue
-                partner = crossing(h2, j)
-                if partner is None or partner[0] != axis:
-                    continue
-                for delta in (-1, 1):
-                    yield [(h, i, delta), (h2, j, -delta * sign * partner[1])]
-
-    def legal(moves: list[tuple[int, int, int]]) -> bool:
-        if not 1 <= inside + sum(delta * side(h, i) for h, i, delta in moves) <= total - 1:
-            return False
-        moved = {(h, i): bounds[h][i] + delta for h, i, delta in moves}
-        return all(moved.get((h, i - 1), bounds[h][i - 1]) <= v <= moved.get((h, i + 1), bounds[h][i + 1])
-                   for (h, i), v in moved.items())
-
-    while odds := odd_positions():
-        moves = next((mv for mv in candidates(odds) if legal(mv)), None)
-        if moves is None:
-            raise InternalInvariantError(
-                "no mid-lattice endpoint can move",
-                {
-                    "left_boundaries": tuple(bounds[0]),
-                    "right_boundaries": tuple(bounds[1]),
-                    "left_members": sorted(split.left.members),
-                    "right_members": sorted(split.right.members),
-                    "left_steps": split.left.path.steps,
-                    "right_steps": split.right.path.steps,
-                },
-            )
-        for h, i, delta in moves:
-            inside += delta * side(h, i)
-            bounds[h][i] += delta
-    result = RefinedSplit(
-        replace(split.left, boundaries=tuple(bounds[0])),
-        replace(split.right, boundaries=tuple(bounds[1])),
-    )
+    odd = _odd_boundaries(halves, bounds)
+    result = split
+    if odd:
+        total = sum(b[-1] for b in bounds)
+        inside = sum([b[p + 1] - b[p] for b, half in zip(bounds, halves) for p in half.members])
+        while odd:
+            for moves, grow in _trial_moves(odd):
+                if 1 <= inside + grow <= total - 1 and _apply_if_sorted(bounds, moves):
+                    break
+            else:
+                raise InternalInvariantError(
+                    "no mid-lattice endpoint can move",
+                    {
+                        "left_boundaries": tuple(bounds[0]),
+                        "right_boundaries": tuple(bounds[1]),
+                        "left_members": sorted(split.left.members),
+                        "right_members": sorted(split.right.members),
+                        "left_steps": split.left.path.steps,
+                        "right_steps": split.right.path.steps,
+                    },
+                )
+            inside += grow
+            # a move makes its boundaries even and leaves the others as they were,
+            # so the odd ones left are the same as before it, minus the moved ones
+            done = {(h, i) for h, i, _ in moves}
+            odd = [o for o in odd if o[:2] not in done]
+        result = RefinedSplit(*(HalfSplit(half.path, half.spans, half.component_cuts,
+                                          tuple(b), half.members)
+                                for half, b in zip(halves, bounds)))
     if any(result.condition_sum()):
         raise InternalInvariantError(
             "repair moves changed the balance sum",
             {"sum": result.condition_sum()},
         )
     return result
+
+
+def _odd_boundaries(halves: tuple[HalfSplit, HalfSplit],
+                    bounds: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
+    """(h, i, side, axis, effect) of every odd interior boundary i of half h, in order.
+
+    side is the change in member-side extent when the boundary moves by +1:
+    1, -1, or 0 between same sides. A crossing boundary moving by delta
+    changes the balance sum by delta * effect on the axis of its edge.
+    """
+    odd = []
+    for h, (b, half) in enumerate(zip(bounds, halves)):
+        members, steps = half.members, half.path.steps
+        for i in range(1, len(b) - 1):
+            if b[i] % 2:
+                side = ((i - 1) in members) - (i in members)
+                axis, sign = steps[b[i] // 2] if side else (0, 0)
+                odd.append((h, i, side, axis, sign * side))
+    return odd
+
+
+def _trial_moves(odd: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[tuple, int]]:
+    """Moves in trial order, each with its change in member-side extent.
+
+    Boundaries in order; a same-side one snaps alone, a crossing one with
+    each partner on the same axis in order; -1 before +1.
+    """
+    for h, i, side, axis, effect in odd:
+        if not side:
+            yield ((h, i, -1),), 0
+            yield ((h, i, 1),), 0
+            continue
+        for h2, j, side2, axis2, effect2 in odd:
+            if side2 and axis2 == axis and (h2, j) != (h, i):
+                for delta in (-1, 1):
+                    delta2 = -delta * effect * effect2
+                    yield ((h, i, delta), (h2, j, delta2)), delta * side + delta2 * side2
+
+
+def _apply_if_sorted(bounds: list[list[int]], moves: tuple[tuple[int, int, int], ...]) -> bool:
+    """Make the moves if every moved boundary stays between its neighbours, read after them."""
+    for h, i, delta in moves:
+        bounds[h][i] += delta
+    if all(bounds[h][i - 1] <= bounds[h][i] <= bounds[h][i + 1] for h, i, _ in moves):
+        return True
+    for h, i, delta in moves:
+        bounds[h][i] -= delta
+    return False
 
 
 def make_yz(split: RefinedSplit) -> YZSplit:
@@ -327,28 +300,34 @@ def make_yz(split: RefinedSplit) -> YZSplit:
     y: list[Span] = []
     z: list[Span] = []
     blocks: list[list[int]] = [[] for _ in range(m)]
-    for h, half in enumerate((split.left, split.right)):
-        ladder = (0,) + half.component_cuts + (2 * len(half.path),)
-        for p, (lo, hi) in enumerate(zip(half.boundaries, half.boundaries[1:])):
+    for own, half in ((blocks[: m // 2], split.left), (blocks[m // 2 :], split.right)):
+        b, members = half.boundaries, half.members
+        # component c's parameter q is token q // 2 + shifts[c] of the word
+        shifts = [s - c // 2 for (s, _), c in zip(half.spans, (0,) + half.component_cuts)]
+        # boundary lists hold every component cut, so a nonempty part never
+        # straddles one, and the first component ending at or past a part's
+        # end owns it; an empty part lands with the earliest ending at its point
+        ends = half.component_cuts + (2 * len(half.path),)
+        owners = map(bisect_left, repeat(ends), b[1:])
+        for p, (lo, hi, c) in enumerate(zip(b, b[1:], owners)):
             if lo % 2 or hi % 2:
                 raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
-            comp = _owner_component(ladder, hi)
-            start = half.spans[comp - 1][0] - ladder[comp - 1] // 2
-            span = (start + lo // 2, start + hi // 2)
-            if p in half.members:
+            span = (shifts[c] + lo // 2, shifts[c] + hi // 2)
+            if p in members:
                 y.append(span)
-                slot = len(y)
+                own[c].append(len(y))
             else:
                 z.append(span)
-                slot = m + len(z)
-            blocks[h * m // 2 + comp - 1].append(slot)
+                own[c].append(m + len(z))
     if len(y) > m or len(z) > m:
         raise InternalInvariantError(
             "side exceeds the slot budget", {"y": len(y), "z": len(z), "m": m}
         )
-    y.extend((0, 0) for _ in range(m - len(y)))
-    z.extend((0, 0) for _ in range(m - len(z)))
-    return YZSplit(tuple(y), tuple(z), _pad_to_last(blocks, 2 * m))
+    # the unused slots, ascending: those of y's padding, then z's
+    blocks[-1].extend(chain(range(len(y) + 1, m + 1), range(m + len(z) + 1, 2 * m + 1)))
+    y.extend([(0, 0)] * (m - len(y)))
+    z.extend([(0, 0)] * (m - len(z)))
+    return YZSplit(tuple(y), tuple(z), Blocking(tuple(map(tuple, blocks))))
 
 
 class _Synthesizer:
@@ -380,15 +359,9 @@ class _Synthesizer:
         )
 
     def combine(self, left: int, right: int, blocking: Blocking) -> int:
-        schema = self.g.schemas[0]
-        comps = apply_blocking(
-            blocking, self.steps[left].conclusion, self.steps[right].conclusion
-        )
-        return self._push(
-            RuleInstance.combine(
-                schema.nonterminal, blocking, schema.nonterminal, comps, (left, right)
-            )
-        )
+        steps, nt = self.steps, self.g.schemas[0].nonterminal
+        comps = apply_blocking(blocking, steps[left].conclusion, steps[right].conclusion)
+        return self._push(RuleInstance.combine(nt, blocking, nt, comps, (left, right)))
 
     def base(self, x: tuple[Span, ...]) -> int:
         """Direct construction for total length <= m.
@@ -400,7 +373,8 @@ class _Synthesizer:
         letters into the requested components.
         """
         m = self.params.m
-        steps = list(chain.from_iterable(self.path.steps[s:e] for s, e in x))
+        path_steps = self.path.steps
+        steps = list(chain.from_iterable([path_steps[s:e] for s, e in x]))
         if not steps:
             return self.axiom(1)
         # rule order fixed by make_grammar: start rule, empty axiom, per-axis axioms
@@ -409,35 +383,27 @@ class _Synthesizer:
                 and [e - s for s, e in x] == [1, 1] + [0] * (m - 2)):
             return self.axiom(1 + axis)
 
-        pending: dict[tuple[int, int], deque[int]] = {}
-        pairs: list[tuple[int, int, int]] = []
+        # each letter pairs with the earliest unpaired inverse letter; the r-th
+        # pair takes slots 2r + 1 (a) and 2r + 2 (A) and is folded in as found
+        pending: dict[int, list[int]] = {}
+        slot_of = [0] * len(steps)
+        acc = r = 0
         for pos, (axis, sign) in enumerate(steps):
-            queue = pending.setdefault((axis, -sign), deque())
-            if queue:
-                partner = queue.popleft()
-                plus, minus = (partner, pos) if sign == -1 else (pos, partner)
-                pairs.append((axis, plus, minus))
-            else:
-                pending.setdefault((axis, sign), deque()).append(pos)
-
-        slot_of: dict[int, int] = {}
-        axis0, plus0, minus0 = pairs[0]
-        acc = self.axiom(1 + axis0)
-        slot_of[plus0] = 1
-        slot_of[minus0] = 2
-        for r, (axis, plus, minus) in enumerate(pairs[1:], start=1):
-            acc = self.combine(acc, self.axiom(1 + axis), _fold_blocking(r, m))
-            slot_of[plus] = 2 * r + 1
-            slot_of[minus] = 2 * r + 2
-
+            queue = pending.get(-axis * sign)
+            if not queue:
+                pending.setdefault(axis * sign, []).append(pos)
+                continue
+            plus, minus = (pos, queue.pop(0)) if sign == 1 else (queue.pop(0), pos)
+            slot_of[plus], slot_of[minus] = 2 * r + 1, 2 * r + 2
+            unit = self.axiom(1 + axis)
+            acc = self.combine(acc, unit, _fold_blocking(r, m)) if r else unit
+            r += 1
         empty = self.axiom(1)
-        blocks: list[list[int]] = [[] for _ in range(m)]
-        pos = 0
-        for i, (s, e) in enumerate(x):
-            for _ in range(s, e):
-                blocks[i].append(slot_of[pos])
-                pos += 1
-        return self.combine(acc, empty, _pad_to_last(blocks, 2 * m))
+        # each component's slots in token order; the unused slots join the last block
+        ends = list(accumulate([e - s for s, e in x], initial=0))
+        blocks = [slot_of[a:b] for a, b in zip(ends, ends[1:])]
+        blocks[-1].extend(range(2 * r + 1, 2 * m + 1))
+        return self.combine(acc, empty, Blocking(tuple(map(tuple, blocks))))
 
     def halve(self, x: tuple[Span, ...]) -> int:
         """Both halves displace zero and carry tokens: recurse on each."""
@@ -481,11 +447,11 @@ class _Synthesizer:
 
     def synth(self, x: tuple[Span, ...]) -> int:
         k, m = self.params
-        if sum(e - s for s, e in x) <= m:
+        if sum([e - s for s, e in x]) <= m:
             return self.base(x)
         keys = self.path.keys
         # packs the left half's displacement; 0 exactly when it is zero
-        if sum(keys[2 * e] - keys[2 * s] for s, e in x[: m // 2]):
+        if sum([keys[2 * e] - keys[2 * s] for s, e in x[: m // 2]]):
             yz = make_yz(lift_to_lattice(refine_and_split(self.path, x, k)))
             iy = self.synth(yz.y)
             iz = self.synth(yz.z)

@@ -92,9 +92,9 @@ def displacement(word: Word, n: int) -> Vec:
 
 
 @lru_cache(maxsize=None)
-def _key_steps(n: int, base: int) -> dict[tuple[int, int], int]:
-    """The packed increment of one half-unit along each (axis, sign) of rank n."""
-    return {(axis, sign): sign * base ** (axis - 1)
+def _key_steps(n: int, base: int) -> dict[tuple[int, int], tuple[int, int]]:
+    """The packed increments of an edge's two half-units along each (axis, sign) of rank n."""
+    return {(axis, sign): (sign * base ** (axis - 1),) * 2
             for axis in range(1, n + 1) for sign in (1, -1)}
 
 
@@ -135,9 +135,20 @@ class LatticePath:
     @cached_property
     def keys(self) -> tuple[int, ...]:
         """Doubled points at every half-unit parameter 0..2L, each packed into one int."""
-        table = _key_steps(self.n, self.base)
-        deltas = list(map(table.__getitem__, self.steps))
-        return tuple(accumulate(chain.from_iterable(zip(deltas, deltas)), initial=0))
+        halves = map(_key_steps(self.n, self.base).__getitem__, self.steps)
+        return tuple(accumulate(chain.from_iterable(halves), initial=0))
+
+    def sub_path(self, spans: tuple[tuple[int, int], ...]) -> LatticePath:
+        """The path of this path's steps in the given (start, end) spans, in order.
+
+        Those steps were checked when this path was built, so they are not
+        checked again; keys are packed at the new path's own base.
+        """
+        path = object.__new__(LatticePath)
+        # as the frozen dataclass's __init__ would, minus __post_init__'s check
+        path.__dict__.update(n=self.n, steps=tuple(chain.from_iterable(
+            [self.steps[s:e] for s, e in spans])))
+        return path
 
     def vector(self, key: int) -> Vec:
         """The vector packed into key; its coordinates must lie in [-base/2, base/2)."""

@@ -138,6 +138,49 @@ def test_breakpoints_match_brute_force_lex_min():
     assert failures  # the failure path is exercised, not only the hits
 
 
+def test_one_interval_scans_row_zero_before_it_builds_the_point_index(monkeypatch):
+    """At k = 1 the search scans row 0 first: keys[0] is 0, so row 0's target
+    point is the target itself, and its first index from 0 is s1. The scan
+    allowance is one path length, end + 1 rows, and a failed scan of row 0
+    reads all of them. So the point index is built exactly when row 0 has no
+    answer (t1 > 0, or no interval at all), and the rows from 1 on are
+    answered from it. The tuple equals the brute-force lex-min either way."""
+    point_index = burago_module._point_index
+    built = []
+
+    def recording_index(keys):
+        built.append(len(keys))
+        return point_index(keys)
+
+    monkeypatch.setattr(burago_module, "_point_index", recording_index)
+    families = (shuffled_pairs, walk_and_return, None)
+    rng = random.Random(4421)
+    sides = {"scan": 0, "index": 0}
+    for i in range(600):
+        n = rng.choice((1, 2))
+        family = families[i % len(families)]
+        if family is None:
+            word = random_word(rng, n, 24)
+        else:
+            word = family(rng, n, rng.randrange(2, 41))
+            # a factor, as the synthesis searches: the target is seldom zero
+            a, b = sorted(rng.sample(range(len(word) + 1), 2))
+            word = word[a:b]
+        path = word_to_path(word, n)
+        built.clear()
+        expected = lex_min_reference(path, 1)
+        assert burago_partition(path, 1).breakpoints == expected, word
+        side = "scan" if expected[0] == 0 else "index"
+        assert built == ([] if side == "scan" else [len(path.keys)]), (side, word)
+        sides[side] += 1
+    assert sides["scan"] >= 400 and sides["index"] >= 100, sides
+    # with no answer the scan fails, the index is built, and the failure is reported
+    built.clear()
+    with pytest.raises(InternalInvariantError):
+        burago_partition(word_to_path(("a1", "a2", "a3"), 3), 1)
+    assert built == [7]
+
+
 def straight_lines(n, length):
     """Paths of `length` steps that never turn back: all on axis 1, all
     backwards on axis n, and runs along axes 1..n of alternating sign."""

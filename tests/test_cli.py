@@ -194,6 +194,20 @@ def test_verify_with_grammar_file(tmp_path, capsys, abcd_grammar_file):
     assert "valid" in out
 
 
+def test_verify_rejects_a_misspelled_grammar_key(capsys, tmp_path):
+    # "schemas" spelled "schema" must not load as a schema-free grammar, which
+    # would reject every combine step of a correct derivation
+    text = dumps_grammar(make_grammar(1)).replace('"schemas"', '"schema"')
+    grammar = tmp_path / "g.json"
+    grammar.write_text(text, encoding="utf-8")
+    derivation = tmp_path / "d.json"
+    derivation.write_text(dumps_derivation(synthesize_word(("a1", "a1", "A1", "A1"), 1)),
+                          encoding="utf-8")
+    code, out, err = run_out(
+        capsys, ["verify", "--grammar", str(grammar), "--derivation", str(derivation)])
+    assert (code, out, err) == (2, "", "error: grammar: unknown key 'schema'\n")
+
+
 def test_verify_missing_file_exits_two(capsys):
     code, _, err = run_out(capsys, ["verify", "--n", "1", "--derivation", "/nonexistent.json"])
     assert code == 2

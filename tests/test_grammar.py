@@ -207,8 +207,41 @@ def test_loads_grammar_rejects_invalid_json():
          "rules": []},
         {"terminals": [], "nonterminals": [], "start": "S", "rules": [],
          "schemas": [{"nt": "I", "arity": True}]},
+        # keys the format does not define, at every level
+        {"terminals": [], "nonterminals": [], "start": "S", "rules": [],
+         "schema": [{"nt": "I", "arity": 2}]},
+        {"terminals": [], "nonterminals": [{"name": "S", "arity": 1, "arty": 1}],
+         "start": "S", "rules": []},
+        {"terminals": [], "nonterminals": [], "start": "S",
+         "rules": [{"lhs": {"nt": "S", "templates": []}, "rsh": []}]},
+        {"terminals": [], "nonterminals": [], "start": "S",
+         "rules": [{"lhs": {"nt": "S", "templates": [], "vars": []}}]},
+        {"terminals": [], "nonterminals": [], "start": "S",
+         "rules": [{"lhs": {"nt": "S", "templates": []}, "rhs": [{"nt": "A", "vars": [], "x": 1}]}]},
+        {"terminals": [], "nonterminals": [], "start": "S", "rules": [],
+         "schemas": [{"nt": "I", "arity": 2, "blocking": []}]},
     ],
 )
 def test_malformed_grammar_json_is_rejected(data):
     with pytest.raises(GrammarFormatError):
         loads_grammar(canonical_json(data))
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda d: d.update(schema=d.pop("schemas")), "grammar: unknown key 'schema'"),
+        (lambda d: d["nonterminals"][1].update(size=2), "nonterminal 1: unknown key 'size'"),
+        (lambda d: d["rules"][0].update(weight=1), "rule 0: unknown key 'weight'"),
+        (lambda d: d["rules"][1]["lhs"].update(rhs=[]), "rule 1 lhs: unknown key 'rhs'"),
+        (lambda d: d["rules"][0]["rhs"][0].update(args=[]), "rule 0 rhs 0: unknown key 'args'"),
+        (lambda d: d["schemas"][0].update(blocks=[]), "schema 0: unknown key 'blocks'"),
+    ],
+    ids=["grammar", "nonterminal", "rule", "lhs", "rhs", "schema"],
+)
+def test_unknown_grammar_keys_name_the_place_and_key(edit, message):
+    data = grammar_to_json_dict(make_grammar(1))
+    edit(data)
+    with pytest.raises(GrammarFormatError) as info:
+        grammar_from_json_dict(data)
+    assert str(info.value) == message

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import random
 from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
+from typing import Iterator
 
 import pytest
 from hypothesis import given
@@ -29,6 +31,7 @@ from mcfgkit import (
     synthesize_word,
     word_to_path,
 )
+from mcfgkit.synthesis import RefinedSplit
 
 from wordgen import all_words, shuffled_pairs, walk_and_return, zero_displacement_words
 
@@ -246,6 +249,149 @@ def test_lift_reports_unrepairable_minimal_split():
         lift_to_lattice(split)
     assert "no mid-lattice endpoint can move" in str(info.value)
     assert info.value.payload["left_steps"] == ((1, 1),)
+
+
+# The lattice lift as it stood before it ran without closures, verbatim: the
+# reference whose boundaries, members and failures the lift must repeat.
+def reference_lift(split: RefinedSplit) -> RefinedSplit:
+    """Move every part boundary onto an even (lattice) parameter.
+
+    A boundary between two parts on the same side of the balance
+    condition snaps one half-unit, preferring the earlier parameter.
+    A boundary between opposite sides pairs with another such boundary
+    whose edge lies on the same axis, and both shift together so the
+    balance sum is unchanged; the direction flips when a side would run
+    out of content. Every move turns odd parameters even and never
+    moves component cuts (those are even already), so the refinement
+    property survives. A full scan with no legal move would contradict
+    the parity of crossing endpoints and raises InternalInvariantError.
+    A move is legal when each moved boundary stays between its neighbours
+    and the member-side extent `inside` stays in [1, total - 1]; as the
+    bounds are sorted between moves, that equals a check of every part.
+    """
+    halves = (split.left, split.right)
+    bounds = [list(half.boundaries) for half in halves]
+    total = sum(b[-1] for b in bounds)
+    inside = sum(b[p + 1] - b[p] for b, half in zip(bounds, halves) for p in half.members)
+
+    def odd_positions() -> list[tuple[int, int]]:
+        return [
+            (h, i)
+            for h in (0, 1)
+            for i in range(1, len(bounds[h]) - 1)
+            if bounds[h][i] % 2
+        ]
+
+    def side(h: int, i: int) -> int:
+        """The change in member-side extent when boundary i moves by +1: 1, -1 or 0."""
+        members = halves[h].members
+        return ((i - 1) in members) - (i in members)
+
+    def crossing(h: int, i: int) -> tuple[int, int] | None:
+        """(edge axis, effect sign) of boundary i, None between same sides.
+
+        Moving the boundary by delta changes the member-side balance sum
+        by delta * sign on the axis of the edge the boundary sits on.
+        """
+        sign = side(h, i)
+        if not sign:
+            return None
+        axis, edge_sign = halves[h].path.step_at(bounds[h][i])
+        return axis, edge_sign * sign
+
+    def candidates(odds: list[tuple[int, int]]) -> Iterator[list[tuple[int, int, int]]]:
+        """Moves in trial order: boundaries in order, partners in order, -1 before +1."""
+        for h, i in odds:
+            effect = crossing(h, i)
+            if effect is None:
+                for delta in (-1, 1):
+                    yield [(h, i, delta)]
+                continue
+            axis, sign = effect
+            for h2, j in odds:
+                if (h2, j) == (h, i):
+                    continue
+                partner = crossing(h2, j)
+                if partner is None or partner[0] != axis:
+                    continue
+                for delta in (-1, 1):
+                    yield [(h, i, delta), (h2, j, -delta * sign * partner[1])]
+
+    def legal(moves: list[tuple[int, int, int]]) -> bool:
+        if not 1 <= inside + sum(delta * side(h, i) for h, i, delta in moves) <= total - 1:
+            return False
+        moved = {(h, i): bounds[h][i] + delta for h, i, delta in moves}
+        return all(moved.get((h, i - 1), bounds[h][i - 1]) <= v <= moved.get((h, i + 1), bounds[h][i + 1])
+                   for (h, i), v in moved.items())
+
+    while odds := odd_positions():
+        moves = next((mv for mv in candidates(odds) if legal(mv)), None)
+        if moves is None:
+            raise InternalInvariantError(
+                "no mid-lattice endpoint can move",
+                {
+                    "left_boundaries": tuple(bounds[0]),
+                    "right_boundaries": tuple(bounds[1]),
+                    "left_members": sorted(split.left.members),
+                    "right_members": sorted(split.right.members),
+                    "left_steps": split.left.path.steps,
+                    "right_steps": split.right.path.steps,
+                },
+            )
+        for h, i, delta in moves:
+            inside += delta * side(h, i)
+            bounds[h][i] += delta
+    result = RefinedSplit(
+        replace(split.left, boundaries=tuple(bounds[0])),
+        replace(split.right, boundaries=tuple(bounds[1])),
+    )
+    if any(result.condition_sum()):
+        raise InternalInvariantError(
+            "repair moves changed the balance sum",
+            {"sum": result.condition_sum()},
+        )
+    return result
+
+
+def lift_outcome(lift, split):
+    try:
+        result = lift(split)
+    except InternalInvariantError as err:
+        return str(err), err.payload
+    return tuple((half.boundaries, half.members) for half in (result.left, result.right))
+
+
+def test_lift_matches_the_closure_reference(monkeypatch):
+    """Every split that synthesis reaches on seeded words at ranks 1 to 6
+    lifts to the same boundaries and members as the reference; so does the
+    minimal split that neither can repair, with the same message and payload."""
+    splits = []
+
+    def recording_lift(split, original=lift_to_lattice):
+        splits.append(split)
+        return original(split)
+
+    monkeypatch.setattr(mcfgkit.synthesis, "lift_to_lattice", recording_lift)
+    rng = random.Random(8081)
+    for n in range(1, 7):
+        k, m = grammar_params(n)
+        for length in (m + 2, 3 * m) if k == 3 else (m + 2, 3 * m, 12 * m, 40 * m):
+            for family in (shuffled_pairs, walk_and_return):
+                synthesize_word(family(rng, n, length), n)
+    odd = Counter(any(b % 2 for half in (s.left, s.right) for b in half.boundaries)
+                  for s in splits)
+    assert odd[True] >= 500 and odd[False] >= 80, odd
+    assert {s.left.path.n for s in splits} == set(range(1, 7))
+    for split in splits:
+        assert lift_outcome(lift_to_lattice, split) == lift_outcome(reference_lift, split)
+    # no boundary is odd: nothing moves
+    unmoved = next(s for s in splits if not any(b % 2 for b in s.left.boundaries + s.right.boundaries))
+    assert lift_outcome(lift_to_lattice, unmoved) == (
+        (unmoved.left.boundaries, unmoved.left.members),
+        (unmoved.right.boundaries, unmoved.right.members))
+    x = (("a1",), (), (), (), (), ("A1",))
+    minimal = refine_and_split(*traced(x, 1), 1)
+    assert lift_outcome(lift_to_lattice, minimal) == lift_outcome(reference_lift, minimal)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

@@ -125,6 +125,20 @@ def test_keys_pack_the_points(case):
         assert path.vector(keys[t] - keys[s]) == tuple(map(sub, pts[t], pts[s]))
 
 
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.sampled_from(alphabet(n)), max_size=40),
+                        st.lists(st.integers(0, 40), max_size=8))))
+def test_sub_path_is_the_path_of_its_spans(case):
+    n, word, cuts = case
+    path = word_to_path(tuple(word), n)
+    ends = sorted(min(c, len(word)) for c in cuts)
+    spans = tuple(zip(ends[::2], ends[1::2]))
+    sub_path = path.sub_path(spans)
+    expected = word_to_path(tuple(t for s, e in spans for t in word[s:e]), n)
+    assert sub_path == expected
+    assert (sub_path.base, sub_path.keys) == (expected.base, expected.keys)
+
+
 def test_path_parameter_validation():
     path = word_to_path(("a1", "a2"), 2)
     assert path.step_at(1) == (1, 1) and path.step_at(3) == (2, 1)
