@@ -8,9 +8,10 @@ every displacement test is an int difference of that path's keys:
   * small tuples (total length <= m) get an explicit base construction;
   * when both concatenated halves displace, each half-path is cut where
     sum_i (P(s_i) - P(t_i)) = P(2L) / 2, P(p) its doubled point at p
-    (burago_partition); the cuts are refined by the component boundaries,
-    repaired onto lattice points, and read off as two strictly shorter
-    zero-displacement m-tuples y, z and the blocking that rebuilds x;
+    (burago_partition, or first row_zero on the word's keys at k = 1); the
+    cuts are refined by the component boundaries, repaired onto lattice
+    points, and read off as two strictly shorter zero-displacement m-tuples
+    y, z and the blocking that rebuilds x;
   * when the halves have zero displacement individually, the tuple is
     split in two directly (or re-cut first when one half carries no
     tokens at all, so that the next level strictly descends).
@@ -26,12 +27,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain, filterfalse, repeat
-from operator import add
 from typing import Iterable, Iterator
 
-from .burago import InternalInvariantError, burago_partition
+from .burago import InternalInvariantError, burago_partition, row_zero
 from .derivation import Derivation, RuleInstance, apply_blocking
 from .grammar import Blocking, Grammar, Word, instantiate
 from .zn import (
@@ -79,25 +79,29 @@ def _halve_blocking(m: int) -> Blocking:
 class HalfSplit:
     """One concatenated half, cut into parts on the half-unit grid.
 
-    spans are the half's components as (start, end) token spans of the
-    input word, and path the half's own lattice path: those spans' steps
-    in order, with its own packing base. boundaries has len(parts)+1
-    sorted parameters of path starting at 0 and ending at 2L; members
-    holds the 0-based part indices on the chosen side of the balance
-    condition (S for the left half, T for the right).
+    word is the input word's path and spans the half's components as
+    (start, end) token spans of it; the half's own path, those spans'
+    steps in order, is built on demand as `path`. boundaries has
+    len(parts)+1 sorted parameters of that path starting at 0 and ending
+    at 2L; members holds the 0-based part indices on the chosen side of
+    the balance condition (S for the left half, T for the right).
     component_cuts are the even parameters of the original component
     boundaries, with multiplicity, and appear among boundaries verbatim.
     """
 
-    path: LatticePath
+    word: LatticePath
     spans: tuple[Span, ...]
     component_cuts: tuple[int, ...]
     boundaries: tuple[int, ...]
     members: frozenset[int]
 
-    @property
-    def part_count(self) -> int:
-        return len(self.boundaries) - 1
+    @cached_property
+    def path(self) -> LatticePath:
+        return self.word.sub_path(self.spans)
+
+    def offset(self, c: int) -> int:
+        """What turns a parameter of the half in component c into one of the word."""
+        return 2 * self.spans[c][0] - (c and self.component_cuts[c - 1])
 
 
 @dataclass(frozen=True)
@@ -113,13 +117,15 @@ class RefinedSplit:
 
     def condition_sum(self) -> Vec:
         """Sum of doubled part differences over S and T; zero when balanced."""
-        # the halves pack at different bases, so each unpacks its own sum over
-        # disjoint parts: one key difference whose coordinates lie in [-2L, 2L]
-        sums = []
+        # each part is read on the word's keys in the first component ending at or
+        # past its end; the parts are disjoint, so the sum lies in [-2L, 2L]
+        keys, total = self.left.word.keys, 0
         for half in (self.left, self.right):
-            keys, b = half.path.keys, half.boundaries
-            sums.append(half.path.vector(sum([keys[b[p + 1]] - keys[b[p]] for p in half.members])))
-        return tuple(map(add, *sums))
+            b = half.boundaries
+            for p in half.members:
+                off = half.offset(bisect_left(half.component_cuts, b[p + 1]))
+                total += keys[b[p + 1] + off] - keys[b[p] + off]
+        return self.left.word.vector(total)
 
 
 @dataclass(frozen=True)
@@ -131,12 +137,14 @@ class YZSplit:
     blocking: Blocking
 
 
-def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int,
+def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int, target: int,
                 prefer_large: bool) -> HalfSplit:
     """Refine one half by its component cuts and its breakpoint partition.
 
-    The half's search path is its spans' steps sliced off the word's path,
-    with keys packed at its own, narrower base. Merging keeps multiplicity;
+    At k = 1, row 0 of the search for target (half the half's displacement,
+    packed at the word's base) runs on the word's keys (row_zero), where
+    most halves answer; otherwise the half's own path is built and
+    searched whole. Merging keeps multiplicity;
     at equal parameters component cuts come first and breakpoints follow
     in their own order (t before s), fixing which empty parts count as
     inside a segment. Parts between an odd number of passed breakpoints
@@ -145,8 +153,8 @@ def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int,
     side when prefer_large and the smaller otherwise; the two sides always
     differ in size (their total is odd), so the comparison never ties.
     """
-    half = path.sub_path(spans)
-    breakpoints = burago_partition(half, k).breakpoints
+    s1 = row_zero(path.keys, spans, target) if k == 1 else None
+    breakpoints = burago_partition(path.sub_path(spans), k).breakpoints if s1 is None else (0, s1)
     # the component ends as doubled parameters; all but the last are the cuts
     ends = tuple(accumulate([2 * (e - s) for s, e in spans]))
     cuts = ends[:-1]
@@ -157,7 +165,7 @@ def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int,
     count = len(boundaries) - 1
     if (2 * len(members) < count) if prefer_large else (2 * len(members) > count):
         members = frozenset(range(count)) - members
-    return HalfSplit(half, spans, cuts, boundaries, members)
+    return HalfSplit(path, spans, cuts, boundaries, members)
 
 
 def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedSplit:
@@ -177,10 +185,12 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedS
     if sum(ends):
         whole = tuple(c // 2 for c in path.vector(sum(ends)))
         raise ValueError(f"tuple displacement must be zero, got {whole}")
-    if not sum(ends[: m // 2]):
+    left = sum(ends[: m // 2])
+    if not left:
         raise ValueError("both halves must have nonzero displacement")
-    return RefinedSplit(_split_half(path, x[: m // 2], k, True),
-                        _split_half(path, x[m // 2 :], k, False))
+    # the halves displace by left and -left, whose coordinates are even: halving is exact
+    return RefinedSplit(_split_half(path, x[: m // 2], k, left // 2, True),
+                        _split_half(path, x[m // 2 :], k, -left // 2, False))
 
 
 def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
@@ -227,7 +237,7 @@ def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
             # so the odd ones left are the same as before it, minus the moved ones
             done = {(h, i) for h, i, _ in moves}
             odd = [o for o in odd if o[:2] not in done]
-        result = RefinedSplit(*(HalfSplit(half.path, half.spans, half.component_cuts,
+        result = RefinedSplit(*(HalfSplit(half.word, half.spans, half.component_cuts,
                                           tuple(b), half.members)
                                 for half, b in zip(halves, bounds)))
     if any(result.condition_sum()):
@@ -248,11 +258,12 @@ def _odd_boundaries(halves: tuple[HalfSplit, HalfSplit],
     """
     odd = []
     for h, (b, half) in enumerate(zip(bounds, halves)):
-        members, steps = half.members, half.path.steps
+        members, steps, cuts = half.members, half.word.steps, half.component_cuts
         for i in range(1, len(b) - 1):
             if b[i] % 2:
                 side = ((i - 1) in members) - (i in members)
-                axis, sign = steps[b[i] // 2] if side else (0, 0)
+                # an odd parameter lies inside an edge of the last component starting before it
+                axis, sign = steps[(b[i] + half.offset(bisect_right(cuts, b[i]))) // 2] if side else (0, 0)
                 odd.append((h, i, side, axis, sign * side))
     return odd
 
@@ -302,17 +313,16 @@ def make_yz(split: RefinedSplit) -> YZSplit:
     blocks: list[list[int]] = [[] for _ in range(m)]
     for own, half in ((blocks[: m // 2], split.left), (blocks[m // 2 :], split.right)):
         b, members = half.boundaries, half.members
-        # component c's parameter q is token q // 2 + shifts[c] of the word
-        shifts = [s - c // 2 for (s, _), c in zip(half.spans, (0,) + half.component_cuts)]
         # boundary lists hold every component cut, so a nonempty part never
         # straddles one, and the first component ending at or past a part's
-        # end owns it; an empty part lands with the earliest ending at its point
-        ends = half.component_cuts + (2 * len(half.path),)
-        owners = map(bisect_left, repeat(ends), b[1:])
+        # end owns it (the last one, past every cut); an empty part lands with
+        # the earliest ending at its point
+        owners = map(bisect_left, repeat(half.component_cuts), b[1:])
         for p, (lo, hi, c) in enumerate(zip(b, b[1:], owners)):
             if lo % 2 or hi % 2:
                 raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
-            span = (shifts[c] + lo // 2, shifts[c] + hi // 2)
+            off = half.offset(c)
+            span = ((lo + off) // 2, (hi + off) // 2)
             if p in members:
                 y.append(span)
                 own[c].append(len(y))
@@ -341,10 +351,6 @@ class _Synthesizer:
         self.steps: list[RuleInstance] = []
         self._axioms: dict[int, int] = {}
 
-    def _push(self, step: RuleInstance) -> int:
-        self.steps.append(step)
-        return len(self.steps) - 1
-
     def axiom(self, rule_index: int) -> int:
         if rule_index not in self._axioms:
             self._axioms[rule_index] = self.concrete(rule_index, {}, ())
@@ -354,14 +360,15 @@ class _Synthesizer:
                  premises: tuple[int, ...]) -> int:
         rule = self.g.rules[rule_index]
         comps = tuple(instantiate(t, subst) for t in rule.templates)
-        return self._push(
-            RuleInstance.concrete(rule_index, subst, rule.lhs, comps, premises)
-        )
+        self.steps.append(RuleInstance.concrete(rule_index, subst, rule.lhs, comps, premises))
+        return len(self.steps) - 1
 
     def combine(self, left: int, right: int, blocking: Blocking) -> int:
         steps, nt = self.steps, self.g.schemas[0].nonterminal
         comps = apply_blocking(blocking, steps[left].conclusion, steps[right].conclusion)
-        return self._push(RuleInstance.combine(nt, blocking, nt, comps, (left, right)))
+        # RuleInstance.combine's step, built positionally
+        steps.append(RuleInstance(nt, comps, (left, right), None, nt, blocking))
+        return len(steps) - 1
 
     def base(self, x: tuple[Span, ...]) -> int:
         """Direct construction for total length <= m.

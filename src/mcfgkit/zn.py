@@ -162,12 +162,6 @@ class LatticePath:
             key = (key - c) // base
         return tuple(out)
 
-    def step_at(self, p: int) -> tuple[int, int]:
-        """The (axis, sign) of the edge whose interior contains odd parameter p."""
-        if p % 2 == 0 or not 0 < p < 2 * len(self.steps):
-            raise ValueError(f"parameter {p} is not inside an edge of 0..{2 * len(self.steps)}")
-        return self.steps[p // 2]
-
 
 def word_to_path(word: Word, n: int) -> LatticePath:
     """Trace a word as a lattice path from the origin."""

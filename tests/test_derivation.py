@@ -66,6 +66,10 @@ def test_apply_blocking_regroups_source_slots():
     left = (("a",), ("b", "b"))
     right = (("c",), ())
     assert apply_blocking(blocking, left, right) == (("b", "b", "c"), ("a",))
+    # a block of one slot is the source component itself; an empty block is ()
+    out = apply_blocking(Blocking(((2,), (3, 1), (), (4,))), left, right)
+    assert out == (("b", "b"), ("c", "a"), (), ())
+    assert out[0] is left[1] and out[3] is right[1]
 
 
 def test_checker_accepts_concrete_derivation(abcd_grammar):

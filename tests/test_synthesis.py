@@ -6,7 +6,7 @@ import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import Iterator
 
 import pytest
@@ -17,6 +17,7 @@ import mcfgkit.synthesis
 from mcfgkit import (
     Instance,
     InternalInvariantError,
+    LatticePath,
     Word,
     apply_blocking,
     check_derivation,
@@ -31,9 +32,19 @@ from mcfgkit import (
     synthesize_word,
     word_to_path,
 )
+from mcfgkit.burago import burago_partition, row_zero
 from mcfgkit.synthesis import RefinedSplit
 
-from wordgen import all_words, shuffled_pairs, walk_and_return, zero_displacement_words
+from wordgen import (
+    all_words,
+    lex_min_reference,
+    part_count,
+    points,
+    shuffled_pairs,
+    step_at,
+    walk_and_return,
+    zero_displacement_words,
+)
 
 
 def flatten(x: tuple[Word, ...]) -> Word:
@@ -164,7 +175,7 @@ def test_refined_split_shape(n, data):
     assert split.m == len(x)
     assert split.condition_sum() == (0,) * n
     for half, comps in ((split.left, x[: m // 2]), (split.right, x[m // 2 :])):
-        assert half.part_count == m // 2 + 2 * k
+        assert part_count(half) == m // 2 + 2 * k
         assert half.boundaries[0] == 0
         assert half.boundaries[-1] == 2 * len(half.path)
         assert list(half.boundaries) == sorted(half.boundaries)
@@ -175,8 +186,8 @@ def test_refined_split_shape(n, data):
         )
     s = len(split.left.members)
     t = len(split.right.members)
-    s_rest = split.left.part_count - s
-    t_rest = split.right.part_count - t
+    s_rest = part_count(split.left) - s
+    t_rest = part_count(split.right) - t
     assert s + s_rest == t + t_rest == m // 2 + 2 * k
     assert s >= s_rest and t <= t_rest
     assert k <= s <= 5 * k - 1
@@ -296,7 +307,7 @@ def reference_lift(split: RefinedSplit) -> RefinedSplit:
         sign = side(h, i)
         if not sign:
             return None
-        axis, edge_sign = halves[h].path.step_at(bounds[h][i])
+        axis, edge_sign = step_at(halves[h].path, bounds[h][i])
         return axis, edge_sign * sign
 
     def candidates(odds: list[tuple[int, int]]) -> Iterator[list[tuple[int, int, int]]]:
@@ -392,6 +403,100 @@ def test_lift_matches_the_closure_reference(monkeypatch):
     x = (("a1",), (), (), (), (), ("A1",))
     minimal = refine_and_split(*traced(x, 1), 1)
     assert lift_outcome(lift_to_lattice, minimal) == lift_outcome(reference_lift, minimal)
+
+
+def spans_path(path: LatticePath, spans) -> LatticePath:
+    """The path of the spans' steps in order, built without sub_path."""
+    return LatticePath(path.n, tuple(chain.from_iterable(path.steps[s:e] for s, e in spans)))
+
+
+def test_split_stage_row_zero_matches_the_search(monkeypatch):
+    """At k = 1 the split stage answers row 0 of each half's search with
+    row_zero on the word's keys and the half's spans. On the m-tuples that
+    synthesis splits at ranks 1 and 2, and on seeded spreads with empty
+    components, that answer is s1 of burago_partition and of the brute-force
+    lex-min on the half's own path when t1 = 0, and None when row 0 holds none."""
+    tuples = []
+
+    def recording_split(path, x, k, original=refine_and_split):
+        tuples.append((path, x))
+        return original(path, x, k)
+
+    monkeypatch.setattr(mcfgkit.synthesis, "refine_and_split", recording_split)
+    rng = random.Random(5150)
+    for n in (1, 2):
+        g, m = make_grammar(n), grammar_params(n).m
+        for length in (m + 2, 16, 24, 40):
+            for family in (shuffled_pairs, walk_and_return):
+                for _ in range(12):
+                    w = family(rng, n, length)
+                    synthesize_word(w, n)
+                    # few distinct cut points, so many components come out empty
+                    cuts = sorted(rng.choice((0, length // 3, length // 2, length)) for _ in range(m - 1))
+                    bounds = [0, *cuts, length]
+                    synthesize(tuple(w[a:b] for a, b in zip(bounds, bounds[1:])), g)
+    # a half whose target is the point where its two spans meet, with a token
+    # of the word skipped between them
+    word = word_to_path(tuple("a1 A1 a1 a2 A2 A1".split()), 2)
+    tuples.append((word, ((0, 1), (2, 3), (3, 5), (5, 6), (1, 2), (5, 5))))
+    seen = Counter()
+    for path, x in tuples:
+        keys = path.keys
+        for spans in (x[: len(x) // 2], x[len(x) // 2 :]):
+            half = spans_path(path, spans)
+            expected = lex_min_reference(half, 1)
+            assert burago_partition(half, 1).breakpoints == expected
+            target = sum(keys[2 * e] - keys[2 * s] for s, e in spans) // 2
+            s1 = row_zero(keys, spans, target)
+            assert s1 == (expected[1] if expected[0] == 0 else None), (path.steps, spans)
+            meets = tuple(accumulate(2 * (e - s) for s, e in spans))[:-1]
+            seen["empty component"] += any(s == e for s, e in spans)
+            seen["no row 0"] += s1 is None
+            seen["at a span boundary"] += s1 in meets and 0 < s1 < 2 * len(half)
+    assert seen["no row 0"] >= 50 and seen["at a span boundary"] >= 50, seen
+    assert seen["empty component"] >= 200, seen
+    assert row_zero(word.keys, ((0, 1), (2, 3)), word.keys[2] - word.keys[0]) == 2
+
+
+def reference_condition_sum(split: RefinedSplit) -> tuple[int, ...]:
+    """The doubled member-part differences summed over points of each half's own path."""
+    total = [0] * split.left.word.n
+    for half in (split.left, split.right):
+        pts, b = points(spans_path(half.word, half.spans)), half.boundaries
+        for p in half.members:
+            for i, (hi, lo) in enumerate(zip(pts[b[p + 1]], pts[b[p]])):
+                total[i] += hi - lo
+    return tuple(total)
+
+
+def test_condition_sum_on_the_word_keys_matches_the_half_paths(monkeypatch):
+    """condition_sum reads each part on the word's keys; it equals the sum over
+    points of each half's own path on every split synthesis reaches at ranks 1
+    to 6, before and after the lift, and with member sets drawn at random, whose
+    sums are seldom zero."""
+    splits = []
+
+    def recording_lift(split, original=lift_to_lattice):
+        lifted = original(split)
+        splits.extend((split, lifted))
+        return lifted
+
+    monkeypatch.setattr(mcfgkit.synthesis, "lift_to_lattice", recording_lift)
+    rng = random.Random(6262)
+    for n in range(1, 7):
+        k, m = grammar_params(n)
+        for length in (m + 2, 3 * m) if k == 3 else (m + 2, 3 * m, 12 * m):
+            for family in (shuffled_pairs, walk_and_return):
+                synthesize_word(family(rng, n, length), n)
+    assert {s.left.word.n for s in splits} == set(range(1, 7))
+    nonzero = 0
+    for split in splits:
+        assert split.condition_sum() == reference_condition_sum(split) == (0,) * split.left.word.n
+        drawn = RefinedSplit(*(replace(half, members=frozenset(
+            p for p in range(part_count(half)) if rng.random() < 0.5)) for half in (split.left, split.right)))
+        assert drawn.condition_sum() == reference_condition_sum(drawn)
+        nonzero += any(drawn.condition_sum())
+    assert nonzero >= len(splits) // 2
 
 
 @pytest.mark.parametrize("n", range(1, 7))

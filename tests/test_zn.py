@@ -22,7 +22,7 @@ from mcfgkit import (
     word_to_path,
 )
 
-from wordgen import points, zero_displacement_words
+from wordgen import points, step_at, zero_displacement_words
 
 
 @given(st.integers(1, 50), st.sampled_from((1, -1)))
@@ -106,8 +106,8 @@ def test_path_points_are_doubled_half_units():
     expected = ((0, 0), (1, 0), (2, 0), (2, -1), (2, -2), (2, -1), (2, 0))
     assert points(path) == expected
     assert tuple(map(path.vector, path.keys)) == expected
-    assert path.step_at(1) == (1, 1)
-    assert path.step_at(3) == (2, -1)
+    assert step_at(path, 1) == (1, 1)
+    assert step_at(path, 3) == (2, -1)
 
 
 @given(st.integers(1, 6).flatmap(
@@ -141,11 +141,11 @@ def test_sub_path_is_the_path_of_its_spans(case):
 
 def test_path_parameter_validation():
     path = word_to_path(("a1", "a2"), 2)
-    assert path.step_at(1) == (1, 1) and path.step_at(3) == (2, 1)
+    assert step_at(path, 1) == (1, 1) and step_at(path, 3) == (2, 1)
     # lattice points, and odd parameters outside the path, name no edge
     for p in (0, 2, -1, 2 * len(path), 2 * len(path) + 1):
         with pytest.raises(ValueError):
-            path.step_at(p)
+            step_at(path, p)
 
 
 def test_path_construction_validation():

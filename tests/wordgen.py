@@ -84,6 +84,18 @@ def points(path: LatticePath) -> tuple[Vec, ...]:
     return tuple(pts)
 
 
+def step_at(path: LatticePath, p: int) -> tuple[int, int]:
+    """The (axis, sign) of the edge whose interior contains odd parameter p."""
+    if p % 2 == 0 or not 0 < p < 2 * len(path.steps):
+        raise ValueError(f"parameter {p} is not inside an edge of 0..{2 * len(path.steps)}")
+    return path.steps[p // 2]
+
+
+def part_count(half) -> int:
+    """The number of parts a HalfSplit's boundaries cut its half into."""
+    return len(half.boundaries) - 1
+
+
 def interval_sum(pts: tuple[Vec, ...], bp: tuple[int, ...]) -> Vec:
     """sum_i (pts[s_i] - pts[t_i]) over the breakpoints (t1, s1, ..., tk, sk)."""
     pairs = list(zip(bp[::2], bp[1::2]))
