@@ -77,17 +77,6 @@ class RuleInstance:
             subst=tuple(sorted(subst.items())),
         )
 
-    @staticmethod
-    def combine(schema: str, blocking: Blocking, conclusion_nt: str,
-                conclusion: tuple[Word, ...], premises: tuple[int, ...]) -> "RuleInstance":
-        return RuleInstance(
-            conclusion_nt=conclusion_nt,
-            conclusion=conclusion,
-            premises=premises,
-            schema=schema,
-            blocking=blocking,
-        )
-
     @property
     def subst_dict(self) -> dict[str, Word]:
         return dict(self.subst)
@@ -125,8 +114,7 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
 
     Raises DerivationError naming the first violated condition with codes
     unknown-rule, premise-not-derived, template-mismatch, blocking-malformed.
-    Each distinct blocking is checked once per schema arity it is used at, and
-    a blocking object seen before is found by identity, without hashing rows.
+    Each distinct blocking value is checked once per schema arity it is used at.
     """
     require_valid(g)
     schema_arity = {s.nonterminal: s.arity for s in g.schemas}
@@ -134,10 +122,8 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
         raise DerivationError(0, "empty-derivation", "derivation has no steps")
 
     steps = d.steps
-    # each (blocking, arity) that passed; equal blockings share an entry. d keeps
-    # every blocking alive for the whole call, so no id is reused meanwhile
+    # each (blocking, arity) that passed; equal blockings share an entry
     valid_blockings: set[tuple[Blocking, int]] = set()
-    valid_ids: set[tuple[int, int]] = set()
     for i, step in enumerate(steps):
         for p in step.premises:
             if not 0 <= p < i:
@@ -184,13 +170,11 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 raise DerivationError(i, "blocking-malformed", "schema step carries no blocking")
             if step.subst:
                 raise DerivationError(i, "template-mismatch", "schema step carries a substitution")
-            if (id(step.blocking), m) not in valid_ids:
-                if (step.blocking, m) not in valid_blockings:
-                    problems = step.blocking.violations(m)
-                    if problems:
-                        raise DerivationError(i, "blocking-malformed", "; ".join(problems))
-                    valid_blockings.add((step.blocking, m))
-                valid_ids.add((id(step.blocking), m))
+            if (step.blocking, m) not in valid_blockings:
+                problems = step.blocking.violations(m)
+                if problems:
+                    raise DerivationError(i, "blocking-malformed", "; ".join(problems))
+                valid_blockings.add((step.blocking, m))
             if len(step.premises) != 2:
                 raise DerivationError(i, "premise-not-derived",
                                       f"schema step needs 2 premises, got {len(step.premises)}")
@@ -237,27 +221,23 @@ def dumps_derivation(d: Derivation) -> str:
     object {"steps": [{"conclusion": {"components", "nt"}, "premises",
     "rule": {"blocking", "schema"} or {"index"}, "subst"}, ...]}. Its depth
     is fixed, so every indent is a constant, and members are written in
-    sorted key order. Strings, token lists and blocking rows repeat across
-    steps; each distinct one is rendered once per call, and each blocking
-    object's schema rule once per schema, found by identity.
+    sorted key order. Strings, token lists, blocking rows and schema rules
+    repeat across steps; each distinct value is rendered once per call.
     """
     q = _Rendered(encode_basestring_ascii).__getitem__
     component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
     binding = _Rendered(lambda w: _json_block(map(q, w), " " * 10)).__getitem__
     row = _Rendered(lambda b: _json_block(map(str, b), " " * 12)).__getitem__
-    # by identity: d keeps every blocking alive for the whole call, so no id is reused
-    rules: dict[tuple[int, str], str] = {}
+    schema_rule = _Rendered(lambda key: (
+        f'{{\n        "blocking": {_json_block(map(row, key[0].blocks), " " * 10)},\n'
+        f'        "schema": {q(key[1])}\n      }}')).__getitem__
     steps = []
     for step in d.steps:
         if step.rule_index is not None:
             rule = f'{{\n        "index": {step.rule_index}\n      }}'
         else:
             assert step.schema is not None and step.blocking is not None
-            rule = rules.get((id(step.blocking), step.schema))
-            if rule is None:
-                blocks = _json_block(map(row, step.blocking.blocks), " " * 10)
-                rule = rules[id(step.blocking), step.schema] = (
-                    f'{{\n        "blocking": {blocks},\n        "schema": {q(step.schema)}\n      }}')
+            rule = schema_rule((step.blocking, step.schema))
         subst = step.subst and [f"{q(v)}: {binding(w)}" for v, w in sorted(dict(step.subst).items())]
         steps.append(
             '{\n      "conclusion": {\n'

@@ -11,7 +11,8 @@ an explicit Blocking that says how the 2m source components are regrouped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 Word = tuple[str, ...]
 TemplateItem = tuple[str, str]  # ("term", symbol) or ("var", name)
@@ -63,9 +64,12 @@ class CombineSchema:
     arity: int
 
 
-@dataclass(frozen=True)
-class Blocking:
-    """Ordered partition of source slots 1..2m into m ordered blocks."""
+class Blocking(NamedTuple):
+    """Ordered partition of source slots 1..2m into m ordered blocks.
+
+    A one-field tuple, so equal blockings hash and compare equal in C; as a
+    tuple it iterates, has len 1 and equals (blocks,).
+    """
 
     blocks: tuple[tuple[int, ...], ...]
 

@@ -58,12 +58,13 @@ def _fresh(
 
 def _close(
     g: Grammar,
+    rules: tuple,
     budget: int,
     component_ok: Callable[[Word], bool],
 ) -> dict[Instance, _Provenance]:
+    """The closure of g within budget, run on its compiled rules (_rules(g))."""
     derived: dict[Instance, _Provenance] = {}
     by_nt: dict[str, list[Instance]] = {nt: [] for nt, _ in g.nonterminals}
-    rules = _rules(g)
     seen: list[tuple[int, ...] | None] = [None] * len(rules)
     changed = True
     while changed:
@@ -143,9 +144,10 @@ def _rules(g: Grammar) -> tuple:
     return _compile.__wrapped__(g)
 
 
-def _require_schema_free(g: Grammar, task: str) -> None:
+def _require_schema_free(g: Grammar, task: str) -> tuple:
+    """g's compiled rules; g must be valid and schema-free."""
     try:
-        _rules(g)
+        return _rules(g)
     except SchemaPresentError as e:
         raise SchemaPresentError(f"{task} {e}") from None
 
@@ -158,9 +160,9 @@ def recognize_bounded(g: Grammar, s: Word) -> tuple[bool, Derivation | None]:
     The returned witness always passes check_derivation and ends in S(s).
     """
     s = tuple(s)
-    _require_schema_free(g, "recognition")
+    rules = _require_schema_free(g, "recognition")
     runs = {s[i:j] for i in range(len(s) + 1) for j in range(i, len(s) + 1)}
-    derived = _close(g, len(s), runs.__contains__)
+    derived = _close(g, rules, len(s), runs.__contains__)
     target = Instance(g.start, (s,))
     if target not in derived:
         return False, None
@@ -173,6 +175,6 @@ def bounded_language(g: Grammar, max_len: int) -> set[Word]:
     Complete for non-deleting grammars by the same argument as
     recognize_bounded; the closure budget is max_len.
     """
-    _require_schema_free(g, "bounded language")
-    derived = _close(g, max_len, lambda _: True)
+    rules = _require_schema_free(g, "bounded language")
+    derived = _close(g, rules, max_len, lambda _: True)
     return {inst.components[0] for inst in derived if inst.nt == g.start}

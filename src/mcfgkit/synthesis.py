@@ -196,18 +196,18 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedS
 def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
     """Move every part boundary onto an even (lattice) parameter.
 
-    A boundary between two parts on the same side of the balance
-    condition snaps one half-unit, preferring the earlier parameter.
-    A boundary between opposite sides pairs with another such boundary
-    whose edge lies on the same axis, and both shift together so the
-    balance sum is unchanged; the direction flips when a side would run
-    out of content. Every move turns odd parameters even and never
-    moves component cuts (those are even already), so the refinement
-    property survives. A full scan with no legal move would contradict
-    the parity of crossing endpoints and raises InternalInvariantError.
-    A move is legal when each moved boundary stays between its neighbours
-    and the member-side extent `inside` stays in [1, total - 1]; as the
-    bounds are sorted between moves, that equals a check of every part.
+    Every odd boundary lies between opposite sides of the balance
+    condition: the boundaries are component cuts, which are even and keep
+    the side, and breakpoints, each of which switches it. An odd boundary
+    pairs with another whose edge lies on the same axis, and both shift
+    together so the balance sum is unchanged; the direction flips when a
+    side would run out of content. Every move turns odd parameters even and
+    never moves component cuts, so the refinement property survives. A full
+    scan with no legal move would contradict the parity of crossing
+    endpoints and raises InternalInvariantError. A move is legal when each
+    moved boundary stays between its neighbours and the member-side extent
+    `inside` stays in [1, total - 1]; as the bounds are sorted between
+    moves, that equals a check of every part.
     """
     halves = (split.left, split.right)
     bounds = [list(half.boundaries) for half in halves]
@@ -252,9 +252,9 @@ def _odd_boundaries(halves: tuple[HalfSplit, HalfSplit],
                     bounds: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
     """(h, i, side, axis, effect) of every odd interior boundary i of half h, in order.
 
-    side is the change in member-side extent when the boundary moves by +1:
-    1, -1, or 0 between same sides. A crossing boundary moving by delta
-    changes the balance sum by delta * effect on the axis of its edge.
+    side is the change in member-side extent when the boundary moves by +1,
+    1 or -1 (odd boundaries are crossing ones). Moving by delta changes the
+    balance sum by delta * effect on the axis of its edge.
     """
     odd = []
     for h, (b, half) in enumerate(zip(bounds, halves)):
@@ -263,7 +263,7 @@ def _odd_boundaries(halves: tuple[HalfSplit, HalfSplit],
             if b[i] % 2:
                 side = ((i - 1) in members) - (i in members)
                 # an odd parameter lies inside an edge of the last component starting before it
-                axis, sign = steps[(b[i] + half.offset(bisect_right(cuts, b[i]))) // 2] if side else (0, 0)
+                axis, sign = steps[(b[i] + half.offset(bisect_right(cuts, b[i]))) // 2]
                 odd.append((h, i, side, axis, sign * side))
     return odd
 
@@ -271,16 +271,12 @@ def _odd_boundaries(halves: tuple[HalfSplit, HalfSplit],
 def _trial_moves(odd: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[tuple, int]]:
     """Moves in trial order, each with its change in member-side extent.
 
-    Boundaries in order; a same-side one snaps alone, a crossing one with
-    each partner on the same axis in order; -1 before +1.
+    Boundaries in order, each with every partner on the same axis in order;
+    -1 before +1.
     """
     for h, i, side, axis, effect in odd:
-        if not side:
-            yield ((h, i, -1),), 0
-            yield ((h, i, 1),), 0
-            continue
         for h2, j, side2, axis2, effect2 in odd:
-            if side2 and axis2 == axis and (h2, j) != (h, i):
+            if axis2 == axis and (h2, j) != (h, i):
                 for delta in (-1, 1):
                     delta2 = -delta * effect * effect2
                     yield ((h, i, delta), (h2, j, delta2)), delta * side + delta2 * side2
@@ -366,7 +362,7 @@ class _Synthesizer:
     def combine(self, left: int, right: int, blocking: Blocking) -> int:
         steps, nt = self.steps, self.g.schemas[0].nonterminal
         comps = apply_blocking(blocking, steps[left].conclusion, steps[right].conclusion)
-        # RuleInstance.combine's step, built positionally
+        # positional: (conclusion_nt, conclusion, premises, rule_index, schema, blocking)
         steps.append(RuleInstance(nt, comps, (left, right), None, nt, blocking))
         return len(steps) - 1
 

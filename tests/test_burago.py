@@ -138,13 +138,11 @@ def test_breakpoints_match_brute_force_lex_min():
     assert failures  # the failure path is exercised, not only the hits
 
 
-def test_one_interval_scans_row_zero_before_it_builds_the_point_index(monkeypatch):
-    """At k = 1 the search scans row 0 first: keys[0] is 0, so row 0's target
-    point is the target itself, and its first index from 0 is s1. The scan
-    allowance is one path length, end + 1 rows, and a failed scan of row 0
-    reads all of them. So the point index is built exactly when row 0 has no
-    answer (t1 > 0, or no interval at all), and the rows from 1 on are
-    answered from it. The tuple equals the brute-force lex-min either way."""
+def test_one_interval_builds_the_point_index_once(monkeypatch):
+    """At k = 1 the search builds the point index once, whether the answer
+    lies in row 0 (t1 = 0) or later, and answers every row from it; with no
+    interval at all it builds it once and reports the failure. The tuple
+    equals the brute-force lex-min either way."""
     point_index = burago_module._point_index
     built = []
 
@@ -155,7 +153,7 @@ def test_one_interval_scans_row_zero_before_it_builds_the_point_index(monkeypatc
     monkeypatch.setattr(burago_module, "_point_index", recording_index)
     families = (shuffled_pairs, walk_and_return, None)
     rng = random.Random(4421)
-    sides = {"scan": 0, "index": 0}
+    sides = {"row 0": 0, "later": 0}
     for i in range(600):
         n = rng.choice((1, 2))
         family = families[i % len(families)]
@@ -170,11 +168,11 @@ def test_one_interval_scans_row_zero_before_it_builds_the_point_index(monkeypatc
         built.clear()
         expected = lex_min_reference(path, 1)
         assert burago_partition(path, 1).breakpoints == expected, word
-        side = "scan" if expected[0] == 0 else "index"
-        assert built == ([] if side == "scan" else [len(path.keys)]), (side, word)
+        side = "row 0" if expected[0] == 0 else "later"
+        assert built == [len(path.keys)], (side, word)
         sides[side] += 1
-    assert sides["scan"] >= 400 and sides["index"] >= 100, sides
-    # with no answer the scan fails, the index is built, and the failure is reported
+    assert sides["row 0"] >= 400 and sides["later"] >= 100, sides
+    # with no answer the index is built, and the failure is reported
     built.clear()
     with pytest.raises(InternalInvariantError):
         burago_partition(word_to_path(("a1", "a2", "a3"), 3), 1)

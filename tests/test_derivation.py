@@ -57,7 +57,8 @@ def combine_steps() -> tuple[RuleInstance, ...]:
     return (
         RuleInstance.concrete(1, {}, "I", ((),) * 6),
         RuleInstance.concrete(2, {}, "I", axis),
-        RuleInstance.combine("I", blocking, "I", axis, (0, 1)),
+        RuleInstance(conclusion_nt="I", conclusion=axis, premises=(0, 1), schema="I",
+                     blocking=blocking),
     )
 
 
@@ -185,8 +186,8 @@ def test_checker_rejects_wrong_conclusion(abcd_grammar):
 
 def test_checker_rejects_unknown_schema():
     good = combine_steps()
-    bad = RuleInstance.combine("J", good[2].blocking, "J",
-                               good[2].conclusion, (0, 1))
+    bad = RuleInstance(conclusion_nt="J", conclusion=good[2].conclusion, premises=(0, 1),
+                       schema="J", blocking=good[2].blocking)
     expect_code(make_grammar(1), good[:2] + (bad,), "unknown-rule", 2)
 
 
@@ -196,14 +197,15 @@ def test_checker_rejects_missing_and_malformed_blockings():
                                premises=(0, 1), schema="I")
     expect_code(make_grammar(1), good[:2] + (no_blocking,), "blocking-malformed", 2)
     short = Blocking(((1, 7), (2, 8), (3, 9), (4, 10), (5, 11), (6,)))
-    bad = RuleInstance.combine("I", short, "I", good[2].conclusion, (0, 1))
+    bad = RuleInstance(conclusion_nt="I", conclusion=good[2].conclusion, premises=(0, 1),
+                       schema="I", blocking=short)
     expect_code(make_grammar(1), good[:2] + (bad,), "blocking-malformed", 2)
 
 
 def test_checker_rejects_schema_premise_problems():
     good = combine_steps()
-    one_premise = RuleInstance.combine("I", good[2].blocking, "I",
-                                       good[2].conclusion, (0,))
+    one_premise = RuleInstance(conclusion_nt="I", conclusion=good[2].conclusion, premises=(0,),
+                               schema="I", blocking=good[2].blocking)
     expect_code(make_grammar(1), good[:2] + (one_premise,), "premise-not-derived", 2)
 
 
@@ -213,9 +215,8 @@ def test_checker_rejects_wrong_arity_schema_premise(abcd_grammar):
     steps = (
         RuleInstance.concrete(0, {}, "I", ((), ())),
         RuleInstance.concrete(2, {"x": (), "y": ()}, "S", ((),), (0,)),
-        RuleInstance.combine(
-            "I", Blocking(((1, 3), (2, 4))), "I", ((), ()), (0, 1)
-        ),
+        RuleInstance(conclusion_nt="I", conclusion=((), ()), premises=(0, 1), schema="I",
+                     blocking=Blocking(((1, 3), (2, 4)))),
     )
     expect_code(g, steps, "premise-not-derived", 2)
 
@@ -234,17 +235,38 @@ def test_blocking_checks_are_kept_apart_per_arity():
         ("J", "I", Blocking(((1, 4), (2, 5), (3, 6)))),
     ):
         def step(nt: str) -> RuleInstance:
-            return RuleInstance.combine(nt, blocking, nt, ((),) * arity[nt], (axiom[nt],) * 2)
+            return RuleInstance(conclusion_nt=nt, conclusion=((),) * arity[nt],
+                                premises=(axiom[nt],) * 2, schema=nt, blocking=blocking)
 
         check_derivation(g, Derivation(axioms + (step(valid),)))
         expect_code(g, axioms + (step(valid), step(other)), "blocking-malformed", 3)
         expect_code(g, axioms + (step(valid), step(valid), step(other)), "blocking-malformed", 4)
 
 
+def test_each_blocking_value_is_checked_once_per_arity(monkeypatch):
+    # every schema step gets its own copy of its blocking: equal values, distinct objects
+    word = tuple(random.Random(23).sample(["a1", "A1", "a2", "A2"] * 20, 80))
+    steps = tuple(step if step.blocking is None else replace(
+        step, blocking=Blocking(tuple(map(tuple, map(list, step.blocking.blocks)))))
+        for step in synthesize_word(word, 2).steps)
+    blockings = [step.blocking for step in steps if step.blocking is not None]
+    assert len(set(map(id, blockings))) == len(blockings) > len(set(blockings))
+    calls = []
+    violations = Blocking.violations
+
+    def counted(self, m):
+        calls.append((self, m))
+        return violations(self, m)
+
+    monkeypatch.setattr(Blocking, "violations", counted)
+    check_derivation(make_grammar(2), Derivation(steps))
+    assert sorted(calls) == sorted({(b, 6) for b in blockings})
+
+
 def test_checker_rejects_regrouping_mismatch():
     good = combine_steps()
-    wrong = RuleInstance.combine("I", good[2].blocking, "I",
-                                 (("A1",), ("a1",), (), (), (), ()), (0, 1))
+    wrong = RuleInstance(conclusion_nt="I", conclusion=(("A1",), ("a1",), (), (), (), ()),
+                         premises=(0, 1), schema="I", blocking=good[2].blocking)
     expect_code(make_grammar(1), good[:2] + (wrong,), "template-mismatch", 2)
 
 
@@ -498,15 +520,14 @@ def test_built_steps_equal_constructed_ones():
     concrete = {"conclusion_nt": "I", "conclusion": (("a",), ()), "premises": (1,), "rule_index": 2,
                 "subst": (("x", ("a",)), ("y", ()))}
     built = loads_derivation(text).steps + (
-        RuleInstance.combine("I", blocking, "I", ((), ()), (0, 0)),
-        RuleInstance.concrete(2, {"y": (), "x": ("a",)}, "I", (("a",), ()), (1,)),
         RuleInstance("I", ((), ()), (0, 0), None, "I", blocking, ()),
-        RuleInstance(**concrete))
+        RuleInstance(**concrete),
+        RuleInstance.concrete(2, {"y": (), "x": ("a",)}, "I", (("a",), ()), (1,)))
     expected = (
         generated_init_step(conclusion_nt="I", conclusion=((), ()), premises=(0, 0), schema="I",
                             blocking=blocking),
         generated_init_step(**concrete))
-    for step, twin in zip(built, expected * 3):
+    for step, twin in zip(built, expected * 2 + expected[1:], strict=True):
         assert step == twin and hash(step) == hash(twin) and repr(step) == repr(twin)
         assert list(vars(step).items()) == list(vars(twin).items())
         assert pickle.loads(pickle.dumps(step)) == step

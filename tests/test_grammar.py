@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from mcfgkit import (
@@ -158,6 +160,23 @@ def test_blocking_violations():
     assert Blocking(((1, 2, 3, 4),)).violations(2) != []  # wrong block count
     assert Blocking(((1, 1), (2, 3))).violations(2) != []  # slot reused, slot missing
     assert Blocking(((1, 2), (3, 5))).violations(2) != []  # slot out of range
+
+
+def test_blocking_is_a_value():
+    rows = ((1, 3), (2, 4))
+    b = Blocking(rows)
+    assert b == Blocking(blocks=rows) and b.blocks is rows
+    assert b.violations(2) == [] and Blocking(blocks=((1, 2, 3, 4),)).violations(2) != []
+    # equal and hashed by value, whatever the object
+    twin = Blocking(tuple(map(tuple, map(list, rows))))
+    assert twin is not b and twin == b and hash(twin) == hash(b)
+    assert len({b, twin}) == 1 and b != Blocking(((1, 4), (2, 3)))
+    # a one-field tuple: it iterates, has len 1 and equals (rows,)
+    assert list(b) == [rows] and len(b) == 1 and b == (rows,)
+    assert repr(b) == "Blocking(blocks=((1, 3), (2, 4)))"
+    assert pickle.loads(pickle.dumps(b)) == b
+    with pytest.raises(AttributeError):
+        b.blocks = ()
 
 
 def test_grammar_arities(abcd_grammar):

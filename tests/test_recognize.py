@@ -182,11 +182,11 @@ def reference_close(g, budget, component_ok):
 def test_closure_matches_naive_passes_on_two_premise_rules(monkeypatch):
     g = two_premise_grammar()
     for budget in range(9):
-        semi = recognize._close(g, budget, lambda _: True)
+        semi = recognize._close(g, recognize._rules(g), budget, lambda _: True)
         assert list(semi.items()) == list(reference_close(g, budget, lambda _: True).items())
     words = [w for length in range(7) for w in product("abc", repeat=length)]
     fast = [recognize_bounded(g, w) for w in words]
-    monkeypatch.setattr(recognize, "_close", reference_close)
+    monkeypatch.setattr(recognize, "_close", lambda g, rules, *args: reference_close(g, *args))
     slow = [recognize_bounded(g, w) for w in words]
     assert fast == slow
     assert sum(accepted for accepted, _ in fast) == 18
@@ -290,18 +290,18 @@ def test_closure_matches_naive_passes_on_random_grammars(monkeypatch):
     grammars, features = [], set()
     while len(grammars) < 40:
         g = random_grammar(rng)
-        if len(recognize._close(g, 8, lambda _: True)) <= 200:
+        if len(recognize._close(g, recognize._rules(g), 8, lambda _: True)) <= 200:
             grammars.append(g)
             features |= grammar_features(g)
     assert features == {"nullary", "repeated premise", "arity 3 premise",
                         "later premise first", "empty template", "terminal run"}
     for g in grammars:
         for budget in range(9):
-            semi = recognize._close(g, budget, lambda _: True)
+            semi = recognize._close(g, recognize._rules(g), budget, lambda _: True)
             assert list(semi.items()) == list(reference_close(g, budget, lambda _: True).items())
     words = [w for length in range(6) for w in product("ab", repeat=length)]
     fast = [recognize_bounded(g, w) for g in grammars for w in words]
-    monkeypatch.setattr(recognize, "_close", reference_close)
+    monkeypatch.setattr(recognize, "_close", lambda g, rules, *args: reference_close(g, *args))
     assert fast == [recognize_bounded(g, w) for g in grammars for w in words]
     assert sum(accepted for accepted, _ in fast) == 128
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mcfgkit.burago
 import mcfgkit.synthesis
 from mcfgkit import (
     Instance,
@@ -375,7 +376,9 @@ def lift_outcome(lift, split):
 def test_lift_matches_the_closure_reference(monkeypatch):
     """Every split that synthesis reaches on seeded words at ranks 1 to 6
     lifts to the same boundaries and members as the reference; so does the
-    minimal split that neither can repair, with the same message and payload."""
+    minimal split that neither can repair, with the same message and payload.
+    Every odd boundary of those splits lies between opposite sides, so the
+    lift never meets a same-side one."""
     splits = []
 
     def recording_lift(split, original=lift_to_lattice):
@@ -394,6 +397,10 @@ def test_lift_matches_the_closure_reference(monkeypatch):
     assert odd[True] >= 500 and odd[False] >= 80, odd
     assert {s.left.path.n for s in splits} == set(range(1, 7))
     for split in splits:
+        for half in (split.left, split.right):
+            b, members = half.boundaries, half.members
+            assert all(((i - 1) in members) != (i in members)
+                       for i in range(1, len(b) - 1) if b[i] % 2), (b, members)
         assert lift_outcome(lift_to_lattice, split) == lift_outcome(reference_lift, split)
     # no boundary is odd: nothing moves
     unmoved = next(s for s in splits if not any(b % 2 for b in s.left.boundaries + s.right.boundaries))
@@ -456,6 +463,46 @@ def test_split_stage_row_zero_matches_the_search(monkeypatch):
     assert seen["no row 0"] >= 50 and seen["at a span boundary"] >= 50, seen
     assert seen["empty component"] >= 200, seen
     assert row_zero(word.keys, ((0, 1), (2, 3)), word.keys[2] - word.keys[0]) == 2
+
+
+def test_split_stage_scans_row_zero_once_per_half(monkeypatch):
+    """At k = 1 each half's row 0 is scanned once, by row_zero on the word's
+    keys, and a half whose row 0 has no answer builds its point index once:
+    the search it then runs starts from that index, not from a second scan."""
+    events = []
+
+    def recording(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            out = original(*args)
+            events.append((name, out) if name == "row_zero" else (name,))
+            return out
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    def recording_half(*args, original=mcfgkit.synthesis._split_half):
+        events.append(("half",))
+        return original(*args)
+
+    for module, name in ((mcfgkit.synthesis, "row_zero"), (mcfgkit.burago, "row_zero"),
+                         (mcfgkit.burago, "_point_index")):
+        recording(module, name)
+    monkeypatch.setattr(mcfgkit.synthesis, "_split_half", recording_half)
+    rng = random.Random(7373)
+    for n in (1, 2):
+        for length in (16, 40, 120):
+            for family in (shuffled_pairs, walk_and_return):
+                for _ in range(4):
+                    synthesize_word(family(rng, n, length), n)
+    starts = [i for i, event in enumerate(events) if event == ("half",)] + [len(events)]
+    assert starts[0] == 0
+    seen = Counter()
+    for a, b in zip(starts, starts[1:]):
+        s1 = events[a + 1][1]
+        assert events[a:b] == [("half",), ("row_zero", s1)] + [("_point_index",)] * (s1 is None)
+        seen["no row 0" if s1 is None else "row 0"] += 1
+    assert seen["no row 0"] >= 200 and seen["row 0"] >= 600, seen
 
 
 def reference_condition_sum(split: RefinedSplit) -> tuple[int, ...]:
