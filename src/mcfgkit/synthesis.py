@@ -11,7 +11,11 @@ every displacement test is an int difference of that path's keys:
     (burago_partition, or first row_zero on the word's keys at k = 1); the
     cuts are refined by the component boundaries, repaired onto lattice
     points, and read off as two strictly shorter zero-displacement m-tuples
-    y, z and the blocking that rebuilds x;
+    y, z and the blocking that rebuilds x. The three stages
+    (refine_and_split, lift_to_lattice, make_yz) hand each other the
+    word's path, the tuple's spans and, per half, plain lists of part
+    boundaries and member flags; the lift edits the boundary lists in
+    place, and make_yz checks the balance once, on y's spans;
   * when the halves have zero displacement individually, the tuple is
     split in two directly (or re-cut first when one half carries no
     tokens at all, so that the next level strictly descends).
@@ -25,18 +29,16 @@ point is involved anywhere.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import accumulate, chain, filterfalse, repeat
-from typing import Iterable, Iterator
+from bisect import bisect_right
+from functools import lru_cache
+from itertools import accumulate, chain, filterfalse
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .burago import InternalInvariantError, burago_partition, row_zero
 from .derivation import Derivation, RuleInstance, apply_blocking
 from .grammar import Blocking, Grammar, Word, instantiate
 from .zn import (
     LatticePath,
-    Vec,
     displacement,
     grammar_params,
     make_grammar,
@@ -75,106 +77,79 @@ def _halve_blocking(m: int) -> Blocking:
     return _pad_to_last(blocks, 2 * m)
 
 
-@dataclass(frozen=True)
-class HalfSplit:
-    """One concatenated half, cut into parts on the half-unit grid.
-
-    word is the input word's path and spans the half's components as
-    (start, end) token spans of it; the half's own path, those spans'
-    steps in order, is built on demand as `path`. boundaries has
-    len(parts)+1 sorted parameters of that path starting at 0 and ending
-    at 2L; members holds the 0-based part indices on the chosen side of
-    the balance condition (S for the left half, T for the right).
-    component_cuts are the even parameters of the original component
-    boundaries, with multiplicity, and appear among boundaries verbatim.
-    """
-
-    word: LatticePath
-    spans: tuple[Span, ...]
-    component_cuts: tuple[int, ...]
-    boundaries: tuple[int, ...]
-    members: frozenset[int]
-
-    @cached_property
-    def path(self) -> LatticePath:
-        return self.word.sub_path(self.spans)
-
-    def offset(self, c: int) -> int:
-        """What turns a parameter of the half in component c into one of the word."""
-        return 2 * self.spans[c][0] - (c and self.component_cuts[c - 1])
-
-
-@dataclass(frozen=True)
-class RefinedSplit:
-    """Both halves of an m-tuple, refined and tagged with S and T."""
-
-    left: HalfSplit
-    right: HalfSplit
-
-    @property
-    def m(self) -> int:
-        return 2 * len(self.left.spans)
-
-    def condition_sum(self) -> Vec:
-        """Sum of doubled part differences over S and T; zero when balanced."""
-        # each part is read on the word's keys in the first component ending at or
-        # past its end; the parts are disjoint, so the sum lies in [-2L, 2L]
-        keys, total = self.left.word.keys, 0
-        for half in (self.left, self.right):
-            b = half.boundaries
-            for p in half.members:
-                off = half.offset(bisect_left(half.component_cuts, b[p + 1]))
-                total += keys[b[p + 1] + off] - keys[b[p] + off]
-        return self.left.word.vector(total)
-
-
-@dataclass(frozen=True)
-class YZSplit:
-    """Two m-tuples of spans plus the blocking that reassembles the original one."""
-
-    y: tuple[Span, ...]
-    z: tuple[Span, ...]
-    blocking: Blocking
+if TYPE_CHECKING:
+    # A split travels between the three stages as (path, x, left, right): the
+    # word's path, the m-tuple of spans and one half per side, each a tuple
+    # (bounds, member, ends, offsets, at) of plain lists (see _split_half).
+    Half = tuple[list[int], list[bool], list[int], list[int], list[int]]
+    Split = tuple[LatticePath, tuple[Span, ...], Half, Half]
 
 
 def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int, target: int,
-                prefer_large: bool) -> HalfSplit:
+                prefer_large: bool) -> Half:
     """Refine one half by its component cuts and its breakpoint partition.
 
     At k = 1, row 0 of the search for target (half the half's displacement,
     packed at the word's base) runs on the word's keys (row_zero), where
     most halves answer; otherwise the half's own path is built and
-    searched whole. Merging keeps multiplicity;
-    at equal parameters component cuts come first and breakpoints follow
-    in their own order (t before s), fixing which empty parts count as
-    inside a segment. Parts between an odd number of passed breakpoints
-    lie inside the segments, and those form the initial member set. It is
-    then swapped with its complement if needed, so that it is the larger
-    side when prefer_large and the smaller otherwise; the two sides always
-    differ in size (their total is odd), so the comparison never ties.
+    searched whole. The half comes back as five lists over its own path's
+    parameters: bounds, the len(parts)+1 sorted part boundaries from 0 to
+    2L; member, one flag per part for the chosen side of the balance
+    condition (S for the left half, T for the right); ends, each
+    component's end, so all but the last are the component cuts, which
+    are even and appear among bounds verbatim; offsets, what turns a
+    parameter in component c into one of the word (2 * start - the cut
+    before it); and at, each breakpoint's position in bounds.
+
+    Merging keeps multiplicity; at equal parameters component cuts come
+    first and breakpoints follow in their own order (t before s), fixing
+    which empty parts count as inside a segment. Parts between an odd
+    number of passed breakpoints lie inside the segments, and those form
+    the initial member side. It is then swapped with its complement if
+    needed, so that it is the larger side when prefer_large and the
+    smaller otherwise; the two sides always differ in size (their total
+    is odd), so the comparison never ties.
     """
     s1 = row_zero(path.keys, spans, target) if k == 1 else None
     breakpoints = burago_partition(path.sub_path(spans), k).breakpoints if s1 is None else (0, s1)
-    # the component ends as doubled parameters; all but the last are the cuts
-    ends = tuple(accumulate([2 * (e - s) for s, e in spans]))
-    cuts = ends[:-1]
-    boundaries = (0, *sorted(cuts + breakpoints), ends[-1])
-    # breakpoint j is boundary bisect_right(cuts, b) + j + 1, as cuts come first at ties
-    at = [bisect_right(cuts, b) + j for j, b in enumerate(breakpoints, 1)]
-    members = frozenset(chain.from_iterable(map(range, at[::2], at[1::2])))
-    count = len(boundaries) - 1
-    if (2 * len(members) < count) if prefer_large else (2 * len(members) > count):
-        members = frozenset(range(count)) - members
-    return HalfSplit(path, spans, cuts, boundaries, members)
+    # one merge of the component ends with the sorted breakpoints: a breakpoint
+    # goes before the first cut past it, so at equal parameters the cut comes
+    # first, and every breakpoint goes before the end
+    bounds, at, ends, offsets = [0], [], [], []
+    q = j = 0
+    last = len(spans) - 1
+    for c, (s, e) in enumerate(spans):
+        offsets.append(2 * s - q)
+        q += 2 * (e - s)
+        limit = q + (c == last)
+        while j < len(breakpoints) and breakpoints[j] < limit:
+            at.append(len(bounds))
+            bounds.append(breakpoints[j])
+            j += 1
+        ends.append(q)
+        bounds.append(q)
+    count = len(bounds) - 1
+    inside = sum(at[1::2]) - sum(at[::2])  # parts inside the segments
+    # the parts before the first breakpoint lie outside the segments, so they
+    # are members exactly when the sides swap; each breakpoint switches the side
+    flag = (2 * inside < count) if prefer_large else (2 * inside > count)
+    member: list[bool] = []
+    prev = 0
+    for a in at:
+        member += [flag] * (a - prev)
+        prev, flag = a, not flag
+    member += [flag] * (count - prev)
+    return bounds, member, ends, offsets, at
 
 
-def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedSplit:
+def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> Split:
     """Cut both halves at their breakpoints, refined by component cuts.
 
     x holds m disjoint (start, end) token spans of the word traced as
     path. Requires a zero-displacement tuple whose halves displace
-    nonzero (equivalently: either half, since they cancel). The left
-    member set S keeps the larger side, the right member set T the
+    nonzero (equivalently: either half, since they cancel). Returns
+    (path, x, left, right), each half as _split_half gives it. The left
+    member side S keeps the larger side, the right member side T the
     smaller, so the slot counts of the eventual y and z both fit within m.
     """
     m = len(x)
@@ -189,83 +164,70 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedS
     if not left:
         raise ValueError("both halves must have nonzero displacement")
     # the halves displace by left and -left, whose coordinates are even: halving is exact
-    return RefinedSplit(_split_half(path, x[: m // 2], k, left // 2, True),
-                        _split_half(path, x[m // 2 :], k, -left // 2, False))
+    return (path, x, _split_half(path, x[: m // 2], k, left // 2, True),
+            _split_half(path, x[m // 2 :], k, -left // 2, False))
 
 
-def lift_to_lattice(split: RefinedSplit) -> RefinedSplit:
-    """Move every part boundary onto an even (lattice) parameter.
+def lift_to_lattice(split: Split) -> Split:
+    """Move every part boundary onto an even (lattice) parameter, in place.
 
     Every odd boundary lies between opposite sides of the balance
     condition: the boundaries are component cuts, which are even and keep
-    the side, and breakpoints, each of which switches it. An odd boundary
-    pairs with another whose edge lies on the same axis, and both shift
-    together so the balance sum is unchanged; the direction flips when a
-    side would run out of content. Every move turns odd parameters even and
-    never moves component cuts, so the refinement property survives. A full
-    scan with no legal move would contradict the parity of crossing
-    endpoints and raises InternalInvariantError. A move is legal when each
-    moved boundary stays between its neighbours and the member-side extent
-    `inside` stays in [1, total - 1]; as the bounds are sorted between
-    moves, that equals a check of every part.
+    the side, and breakpoints, each of which switches it; so only the
+    breakpoints are visited. An odd boundary pairs with another whose edge
+    lies on the same axis, and both shift together so the balance sum is
+    unchanged; the direction flips when a side would run out of content.
+    Every move turns odd parameters even and never moves component cuts,
+    so the refinement property survives. A full scan with no legal move
+    would contradict the parity of crossing endpoints and raises
+    InternalInvariantError. A move is legal when each moved boundary stays
+    between its neighbours and the member-side extent `inside` stays in
+    [1, total - 1]; as the bounds are sorted between moves, that equals a
+    check of every part. The halves' bounds lists are edited and the same
+    split is returned; with no odd boundary nothing is built.
     """
-    halves = (split.left, split.right)
-    bounds = [list(half.boundaries) for half in halves]
-    odd = _odd_boundaries(halves, bounds)
-    result = split
-    if odd:
-        total = sum(b[-1] for b in bounds)
-        inside = sum([b[p + 1] - b[p] for b, half in zip(bounds, halves) for p in half.members])
-        while odd:
-            for moves, grow in _trial_moves(odd):
-                if 1 <= inside + grow <= total - 1 and _apply_if_sorted(bounds, moves):
-                    break
-            else:
-                raise InternalInvariantError(
-                    "no mid-lattice endpoint can move",
-                    {
-                        "left_boundaries": tuple(bounds[0]),
-                        "right_boundaries": tuple(bounds[1]),
-                        "left_members": sorted(split.left.members),
-                        "right_members": sorted(split.right.members),
-                        "left_steps": split.left.path.steps,
-                        "right_steps": split.right.path.steps,
-                    },
-                )
-            inside += grow
-            # a move makes its boundaries even and leaves the others as they were,
-            # so the odd ones left are the same as before it, minus the moved ones
-            done = {(h, i) for h, i, _ in moves}
-            odd = [o for o in odd if o[:2] not in done]
-        result = RefinedSplit(*(HalfSplit(half.word, half.spans, half.component_cuts,
-                                          tuple(b), half.members)
-                                for half, b in zip(halves, bounds)))
-    if any(result.condition_sum()):
-        raise InternalInvariantError(
-            "repair moves changed the balance sum",
-            {"sum": result.condition_sum()},
-        )
-    return result
-
-
-def _odd_boundaries(halves: tuple[HalfSplit, HalfSplit],
-                    bounds: list[list[int]]) -> list[tuple[int, int, int, int, int]]:
-    """(h, i, side, axis, effect) of every odd interior boundary i of half h, in order.
-
-    side is the change in member-side extent when the boundary moves by +1,
-    1 or -1 (odd boundaries are crossing ones). Moving by delta changes the
-    balance sum by delta * effect on the axis of its edge.
-    """
+    path, x, left, right = split
+    steps = path.steps
     odd = []
-    for h, (b, half) in enumerate(zip(bounds, halves)):
-        members, steps, cuts = half.members, half.word.steps, half.component_cuts
-        for i in range(1, len(b) - 1):
+    for h, (b, member, _, offsets, at) in enumerate((left, right)):
+        for j, i in enumerate(at):
             if b[i] % 2:
-                side = ((i - 1) in members) - (i in members)
-                # an odd parameter lies inside an edge of the last component starting before it
-                axis, sign = steps[(b[i] + half.offset(bisect_right(cuts, b[i]))) // 2]
+                # (h, i, side, axis, effect): side is the change in member-side extent
+                # when the boundary moves by +1; moving by delta changes the balance
+                # sum by delta * effect on the axis of its edge, which lies in the
+                # component after the i - 1 - j cuts before boundary i
+                side = member[i - 1] - member[i]
+                axis, sign = steps[(b[i] + offsets[i - 1 - j]) // 2]
                 odd.append((h, i, side, axis, sign * side))
-    return odd
+    if not odd:
+        return split
+    bounds = [left[0], right[0]]
+    total = bounds[0][-1] + bounds[1][-1]
+    inside = sum([hi - lo for b, member, *_ in (left, right)
+                  for lo, hi, f in zip(b, b[1:], member) if f])
+    while odd:
+        for moves, grow in _trial_moves(odd):
+            if 1 <= inside + grow <= total - 1 and _apply_if_sorted(bounds, moves):
+                break
+        else:
+            m = len(x)
+            raise InternalInvariantError(
+                "no mid-lattice endpoint can move",
+                {
+                    "left_boundaries": tuple(bounds[0]),
+                    "right_boundaries": tuple(bounds[1]),
+                    "left_members": [p for p, f in enumerate(left[1]) if f],
+                    "right_members": [p for p, f in enumerate(right[1]) if f],
+                    "left_steps": path.sub_path(x[: m // 2]).steps,
+                    "right_steps": path.sub_path(x[m // 2 :]).steps,
+                },
+            )
+        inside += grow
+        # a move makes its boundaries even and leaves the others as they were,
+        # so the odd ones left are the same as before it, minus the moved ones
+        done = {(h, i) for h, i, _ in moves}
+        odd = [o for o in odd if o[:2] not in done]
+    return split
 
 
 def _trial_moves(odd: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[tuple, int]]:
@@ -293,47 +255,59 @@ def _apply_if_sorted(bounds: list[list[int]], moves: tuple[tuple[int, int, int],
     return False
 
 
-def make_yz(split: RefinedSplit) -> YZSplit:
-    """Read the two m-tuples of spans off a lattice-aligned split.
+def make_yz(split: Split) -> tuple[tuple[Span, ...], tuple[Span, ...], Blocking]:
+    """Read (y, z, blocking) off a lattice-aligned split.
 
     y takes the member parts (S in path order, then T), z the rest,
     each padded with empty spans to width m. A part lies inside one
-    component, so one owner lookup gives both its span of the input word
-    and its block: the blocking lists, for every original component, the
+    component, so one owner gives both its span of the input word and
+    its block: the blocking lists, for every original component, the
     slots of its parts in path order; slots that carry padding join the
-    final block.
+    final block. The balance condition is checked once, as the packed sum
+    of y's spans on the word's keys: each part is read at its owner's
+    offset, so that sum is the member parts' sum over both halves.
     """
-    m = split.m
+    path, x, left, right = split
+    m = len(x)
     y: list[Span] = []
     z: list[Span] = []
-    blocks: list[list[int]] = [[] for _ in range(m)]
-    for own, half in ((blocks[: m // 2], split.left), (blocks[m // 2 :], split.right)):
-        b, members = half.boundaries, half.members
-        # boundary lists hold every component cut, so a nonempty part never
-        # straddles one, and the first component ending at or past a part's
-        # end owns it (the last one, past every cut); an empty part lands with
-        # the earliest ending at its point
-        owners = map(bisect_left, repeat(half.component_cuts), b[1:])
-        for p, (lo, hi, c) in enumerate(zip(b, b[1:], owners)):
+    blocks: list[list[int]] = []
+    for b, member, ends, offsets, _ in (left, right):
+        own = [[] for _ in offsets]
+        blocks += own
+        # bounds hold every component cut, so a nonempty part never straddles
+        # one, and the first component ending at or past a part's end owns it;
+        # an empty part lands with the earliest ending at its point
+        c = 0
+        lo = b[0]
+        for p, hi in enumerate(b[1:]):
             if lo % 2 or hi % 2:
                 raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
-            off = half.offset(c)
-            span = ((lo + off) // 2, (hi + off) // 2)
-            if p in members:
-                y.append(span)
+            while ends[c] < hi:
+                c += 1
+            off = offsets[c]
+            if member[p]:
+                y.append(((lo + off) // 2, (hi + off) // 2))
                 own[c].append(len(y))
             else:
-                z.append(span)
+                z.append(((lo + off) // 2, (hi + off) // 2))
                 own[c].append(m + len(z))
+            lo = hi
     if len(y) > m or len(z) > m:
         raise InternalInvariantError(
             "side exceeds the slot budget", {"y": len(y), "z": len(z), "m": m}
         )
+    keys = path.keys
+    total = sum([keys[2 * e] - keys[2 * s] for s, e in y])
+    if total:
+        raise InternalInvariantError(
+            "repair moves changed the balance sum", {"sum": path.vector(total)}
+        )
     # the unused slots, ascending: those of y's padding, then z's
-    blocks[-1].extend(chain(range(len(y) + 1, m + 1), range(m + len(z) + 1, 2 * m + 1)))
-    y.extend([(0, 0)] * (m - len(y)))
-    z.extend([(0, 0)] * (m - len(z)))
-    return YZSplit(tuple(y), tuple(z), Blocking(tuple(map(tuple, blocks))))
+    blocks[-1] += chain(range(len(y) + 1, m + 1), range(m + len(z) + 1, 2 * m + 1))
+    y += [(0, 0)] * (m - len(y))
+    z += [(0, 0)] * (m - len(z))
+    return tuple(y), tuple(z), Blocking(tuple(map(tuple, blocks)))
 
 
 class _Synthesizer:
@@ -373,11 +347,14 @@ class _Synthesizer:
         pair pulls in its axis axiom, folds keep every letter in its
         own slot (2 per pair, within budget since the total is <= m),
         and one closing combine against the empty axiom arranges the
-        letters into the requested components.
+        letters into the requested components. The folds are appended
+        here as combine steps, like combine's, through apply_blocking.
         """
         m = self.params.m
         path_steps = self.path.steps
-        steps = list(chain.from_iterable([path_steps[s:e] for s, e in x]))
+        steps: list[tuple[int, int]] = []
+        for s, e in x:
+            steps += path_steps[s:e]
         if not steps:
             return self.axiom(1)
         # rule order fixed by make_grammar: start rule, empty axiom, per-axis axioms
@@ -386,27 +363,39 @@ class _Synthesizer:
                 and [e - s for s, e in x] == [1, 1] + [0] * (m - 2)):
             return self.axiom(1 + axis)
 
-        # each letter pairs with the earliest unpaired inverse letter; the r-th
-        # pair takes slots 2r + 1 (a) and 2r + 2 (A) and is folded in as found
-        pending: dict[int, list[int]] = {}
+        # each letter pairs with the earliest unpaired inverse letter, waiting
+        # under the step that pairs it; the r-th pair takes slots 2r + 1 (a) and
+        # 2r + 2 (A) and is folded in as found
+        pending: dict[tuple[int, int], list[int]] = {}
         slot_of = [0] * len(steps)
+        out, nt = self.steps, self.g.schemas[0].nonterminal
         acc = r = 0
-        for pos, (axis, sign) in enumerate(steps):
-            queue = pending.get(-axis * sign)
+        for pos, step in enumerate(steps):
+            axis, sign = step
+            queue = pending.get(step)
             if not queue:
-                pending.setdefault(axis * sign, []).append(pos)
+                pending.setdefault((axis, -sign), []).append(pos)
                 continue
             plus, minus = (pos, queue.pop(0)) if sign == 1 else (queue.pop(0), pos)
             slot_of[plus], slot_of[minus] = 2 * r + 1, 2 * r + 2
             unit = self.axiom(1 + axis)
-            acc = self.combine(acc, unit, _fold_blocking(r, m)) if r else unit
+            if r:
+                blocking = _fold_blocking(r, m)
+                comps = apply_blocking(blocking, out[acc].conclusion, out[unit].conclusion)
+                out.append(RuleInstance(nt, comps, (acc, unit), None, nt, blocking))
+                acc = len(out) - 1
+            else:
+                acc = unit
             r += 1
         empty = self.axiom(1)
         # each component's slots in token order; the unused slots join the last block
-        ends = list(accumulate([e - s for s, e in x], initial=0))
-        blocks = [slot_of[a:b] for a, b in zip(ends, ends[1:])]
-        blocks[-1].extend(range(2 * r + 1, 2 * m + 1))
-        return self.combine(acc, empty, Blocking(tuple(map(tuple, blocks))))
+        rows = []
+        a = 0
+        for s, e in x:
+            rows.append(tuple(slot_of[a : a + e - s]))
+            a += e - s
+        rows[-1] += tuple(range(2 * r + 1, 2 * m + 1))
+        return self.combine(acc, empty, Blocking(tuple(rows)))
 
     def halve(self, x: tuple[Span, ...]) -> int:
         """Both halves displace zero and carry tokens: recurse on each."""
@@ -455,10 +444,10 @@ class _Synthesizer:
         keys = self.path.keys
         # packs the left half's displacement; 0 exactly when it is zero
         if sum([keys[2 * e] - keys[2 * s] for s, e in x[: m // 2]]):
-            yz = make_yz(lift_to_lattice(refine_and_split(self.path, x, k)))
-            iy = self.synth(yz.y)
-            iz = self.synth(yz.z)
-            return self.combine(iy, iz, yz.blocking)
+            y, z, blocking = make_yz(lift_to_lattice(refine_and_split(self.path, x, k)))
+            iy = self.synth(y)
+            iz = self.synth(z)
+            return self.combine(iy, iz, blocking)
         if any(e > s for s, e in x[: m // 2]) and any(e > s for s, e in x[m // 2 :]):
             return self.halve(x)
         return self.rebalance(x)

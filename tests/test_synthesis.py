@@ -34,13 +34,17 @@ from mcfgkit import (
     word_to_path,
 )
 from mcfgkit.burago import burago_partition, row_zero
-from mcfgkit.synthesis import RefinedSplit
 
 from wordgen import (
+    RefinedSplit,
     all_words,
+    as_refined,
+    block_word,
     lex_min_reference,
-    part_count,
     points,
+    reference_lift,
+    reference_refine,
+    reference_split,
     shuffled_pairs,
     step_at,
     walk_and_return,
@@ -172,23 +176,28 @@ def test_refine_and_split_validation():
 def test_refined_split_shape(n, data):
     x = data.draw(splittable_tuples(n))
     k, m = grammar_params(n)
-    split = refine_and_split(*traced(x, n), k)
-    assert split.m == len(x)
-    assert split.condition_sum() == (0,) * n
-    for half, comps in ((split.left, x[: m // 2]), (split.right, x[m // 2 :])):
-        assert part_count(half) == m // 2 + 2 * k
-        assert half.boundaries[0] == 0
-        assert half.boundaries[-1] == 2 * len(half.path)
-        assert list(half.boundaries) == sorted(half.boundaries)
+    path, spans = traced(x, n)
+    split = refine_and_split(path, spans, k)
+    assert split[:2] == (path, spans) and len(split[1]) == len(x)
+    assert as_refined(split) == reference_refine(path, spans, k)
+    assert as_refined(split).condition_sum() == (0,) * n
+    for (bounds, member, ends, offsets, at), comps, h in (
+            (split[2], x[: m // 2], spans[: m // 2]), (split[3], x[m // 2 :], spans[m // 2 :])):
+        assert len(member) == len(bounds) - 1 == m // 2 + 2 * k
+        assert bounds[0] == 0
+        assert bounds[-1] == 2 * len(flatten(comps))
+        assert bounds == sorted(bounds)
         # the component cuts survive refinement, multiplicity included
-        assert not Counter(half.component_cuts) - Counter(half.boundaries)
-        assert half.component_cuts == tuple(
-            sum(2 * len(c) for c in comps[: i + 1]) for i in range(len(comps) - 1)
-        )
-    s = len(split.left.members)
-    t = len(split.right.members)
-    s_rest = part_count(split.left) - s
-    t_rest = part_count(split.right) - t
+        assert not Counter(ends[:-1]) - Counter(bounds)
+        assert ends[:-1] == [sum(2 * len(c) for c in comps[: i + 1]) for i in range(len(comps) - 1)]
+        assert ends[-1] == bounds[-1]
+        # each breakpoint switches the side; a parameter p of component c is p + offsets[c] of the word
+        assert len(at) == 2 * k and all(member[i - 1] != member[i] for i in at)
+        assert offsets == [2 * s - c for (s, _), c in zip(h, [0, *ends[:-1]])]
+    s = sum(split[2][1])
+    t = sum(split[3][1])
+    s_rest = len(split[2][1]) - s
+    t_rest = len(split[3][1]) - t
     assert s + s_rest == t + t_rest == m // 2 + 2 * k
     assert s >= s_rest and t <= t_rest
     assert k <= s <= 5 * k - 1
@@ -201,8 +210,12 @@ def test_lift_moves_boundaries_onto_the_lattice(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
     split = refine_and_split(*traced(x, n), k)
-    lifted = lift_to_lattice(split)
-    for before, after in ((split.left, lifted.left), (split.right, lifted.right)):
+    # the lift edits the split's bounds in place, so the split is read before it
+    refined = as_refined(split)
+    assert lift_to_lattice(split) is split
+    lifted = as_refined(split)
+    assert lifted == reference_lift(refined)
+    for before, after in ((refined.left, lifted.left), (refined.right, lifted.right)):
         assert all(b % 2 == 0 for b in after.boundaries)
         assert list(after.boundaries) == sorted(after.boundaries)
         assert after.boundaries[0] == 0
@@ -246,7 +259,8 @@ def test_each_call_traces_its_word_once(n, split_ks):
         assert split_ks
     path, spans = traced(x, n)
     split = refine_and_split(path, spans, k)
-    for half, h in ((split.left, slice(m // 2)), (split.right, slice(m // 2, m))):
+    assert split[0] is path and split[1] is spans
+    for half, h in ((as_refined(split).left, slice(m // 2)), (as_refined(split).right, slice(m // 2, m))):
         assert half.spans == spans[h]
         assert half.path == word_to_path(flatten(x[h]), n)
 
@@ -256,16 +270,23 @@ def test_lift_reports_unrepairable_minimal_split():
     # side, so balance and two-sided nonemptiness cannot both hold on
     # the lattice.  The lift must refuse loudly rather than loop.
     x = (("a1",), (), (), (), (), ("A1",))
-    split = refine_and_split(*traced(x, 1), 1)
+    path, spans = traced(x, 1)
+    split = refine_and_split(path, spans, 1)
     with pytest.raises(InternalInvariantError) as info:
         lift_to_lattice(split)
     assert "no mid-lattice endpoint can move" in str(info.value)
     assert info.value.payload["left_steps"] == ((1, 1),)
+    # the same message and payload as the reference stages give
+    assert list(info.value.payload) == ["left_boundaries", "right_boundaries", "left_members",
+                                        "right_members", "left_steps", "right_steps"]
+    with pytest.raises(InternalInvariantError) as ref:
+        reference_lift(reference_refine(path, spans, 1))
+    assert str(info.value) == str(ref.value) and info.value.payload == ref.value.payload
 
 
 # The lattice lift as it stood before it ran without closures, verbatim: the
 # reference whose boundaries, members and failures the lift must repeat.
-def reference_lift(split: RefinedSplit) -> RefinedSplit:
+def closure_lift(split: RefinedSplit) -> RefinedSplit:
     """Move every part boundary onto an even (lattice) parameter.
 
     A boundary between two parts on the same side of the balance
@@ -366,11 +387,31 @@ def reference_lift(split: RefinedSplit) -> RefinedSplit:
 
 
 def lift_outcome(lift, split):
+    """The lifted halves' boundaries and members, or the error's text and payload.
+
+    A split of the library's stages is read after the lift as the reference's
+    dataclasses; the others are lifted by the given reference."""
     try:
         result = lift(split)
     except InternalInvariantError as err:
         return str(err), err.payload
+    if isinstance(result, tuple):
+        result = as_refined(result)
     return tuple((half.boundaries, half.members) for half in (result.left, result.right))
+
+
+def recorded_split_inputs(monkeypatch, run) -> list:
+    """The (path, x, k) of every split synthesis makes while run() runs."""
+    inputs = []
+
+    def recording_split(path, x, k, original=refine_and_split):
+        inputs.append((path, x, k))
+        return original(path, x, k)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(mcfgkit.synthesis, "refine_and_split", recording_split)
+        run()
+    return inputs
 
 
 def test_lift_matches_the_closure_reference(monkeypatch):
@@ -379,37 +420,36 @@ def test_lift_matches_the_closure_reference(monkeypatch):
     minimal split that neither can repair, with the same message and payload.
     Every odd boundary of those splits lies between opposite sides, so the
     lift never meets a same-side one."""
-    splits = []
-
-    def recording_lift(split, original=lift_to_lattice):
-        splits.append(split)
-        return original(split)
-
-    monkeypatch.setattr(mcfgkit.synthesis, "lift_to_lattice", recording_lift)
     rng = random.Random(8081)
+    words = []
     for n in range(1, 7):
         k, m = grammar_params(n)
         for length in (m + 2, 3 * m) if k == 3 else (m + 2, 3 * m, 12 * m, 40 * m):
             for family in (shuffled_pairs, walk_and_return):
-                synthesize_word(family(rng, n, length), n)
+                words.append((family(rng, n, length), n))
+    inputs = recorded_split_inputs(monkeypatch, lambda: [synthesize_word(w, n) for w, n in words])
+    splits = [refine_and_split(*i) for i in inputs]
+    refined = [as_refined(split) for split in splits]
     odd = Counter(any(b % 2 for half in (s.left, s.right) for b in half.boundaries)
-                  for s in splits)
+                  for s in refined)
     assert odd[True] >= 500 and odd[False] >= 80, odd
-    assert {s.left.path.n for s in splits} == set(range(1, 7))
-    for split in splits:
-        for half in (split.left, split.right):
+    assert {s.left.path.n for s in refined} == set(range(1, 7))
+    for split, ref in zip(splits, refined):
+        for half in (ref.left, ref.right):
             b, members = half.boundaries, half.members
             assert all(((i - 1) in members) != (i in members)
                        for i in range(1, len(b) - 1) if b[i] % 2), (b, members)
-        assert lift_outcome(lift_to_lattice, split) == lift_outcome(reference_lift, split)
+        assert lift_outcome(lift_to_lattice, split) == lift_outcome(closure_lift, ref)
     # no boundary is odd: nothing moves
-    unmoved = next(s for s in splits if not any(b % 2 for b in s.left.boundaries + s.right.boundaries))
-    assert lift_outcome(lift_to_lattice, unmoved) == (
-        (unmoved.left.boundaries, unmoved.left.members),
-        (unmoved.right.boundaries, unmoved.right.members))
+    unmoved = next(i for i, s in enumerate(refined)
+                   if not any(b % 2 for b in s.left.boundaries + s.right.boundaries))
+    split = refine_and_split(*inputs[unmoved])
+    assert lift_outcome(lift_to_lattice, split) == (
+        (refined[unmoved].left.boundaries, refined[unmoved].left.members),
+        (refined[unmoved].right.boundaries, refined[unmoved].right.members))
     x = (("a1",), (), (), (), (), ("A1",))
     minimal = refine_and_split(*traced(x, 1), 1)
-    assert lift_outcome(lift_to_lattice, minimal) == lift_outcome(reference_lift, minimal)
+    assert lift_outcome(lift_to_lattice, minimal) == lift_outcome(closure_lift, as_refined(minimal))
 
 
 def spans_path(path: LatticePath, spans) -> LatticePath:
@@ -517,33 +557,53 @@ def reference_condition_sum(split: RefinedSplit) -> tuple[int, ...]:
 
 
 def test_condition_sum_on_the_word_keys_matches_the_half_paths(monkeypatch):
-    """condition_sum reads each part on the word's keys; it equals the sum over
-    points of each half's own path on every split synthesis reaches at ranks 1
-    to 6, before and after the lift, and with member sets drawn at random, whose
-    sums are seldom zero."""
-    splits = []
-
-    def recording_lift(split, original=lift_to_lattice):
-        lifted = original(split)
-        splits.extend((split, lifted))
-        return lifted
-
-    monkeypatch.setattr(mcfgkit.synthesis, "lift_to_lattice", recording_lift)
+    """The reference's condition_sum reads each part on the word's keys; it
+    equals the sum over points of each half's own path on every split
+    synthesis reaches at ranks 1 to 6, before and after the lift, and with
+    member sets drawn at random, whose sums are seldom zero. make_yz checks
+    the balance as the packed sum of y's spans on the word's keys: with a
+    drawn member set it raises exactly when that sum is not zero, with the
+    sum as payload, unless a side overflows the slot budget first."""
     rng = random.Random(6262)
+    words = []
     for n in range(1, 7):
         k, m = grammar_params(n)
         for length in (m + 2, 3 * m) if k == 3 else (m + 2, 3 * m, 12 * m):
             for family in (shuffled_pairs, walk_and_return):
-                synthesize_word(family(rng, n, length), n)
-    assert {s.left.word.n for s in splits} == set(range(1, 7))
-    nonzero = 0
-    for split in splits:
-        assert split.condition_sum() == reference_condition_sum(split) == (0,) * split.left.word.n
+                words.append((family(rng, n, length), n))
+    splits = []
+    for path, x, k in recorded_split_inputs(monkeypatch, lambda: [synthesize_word(w, n) for w, n in words]):
+        split = refine_and_split(path, x, k)
+        splits.append((as_refined(split), split))
+        splits.append((as_refined(lift_to_lattice(split)), split))
+    assert {s.left.word.n for s, _ in splits} == set(range(1, 7))
+    nonzero = balance_errors = 0
+    for split, (path, x, *halves) in splits:
+        assert split.condition_sum() == reference_condition_sum(split) == (0,) * path.n
         drawn = RefinedSplit(*(replace(half, members=frozenset(
-            p for p in range(part_count(half)) if rng.random() < 0.5)) for half in (split.left, split.right)))
+            p for p in range(len(half.boundaries) - 1) if rng.random() < 0.5))
+            for half in (split.left, split.right)))
         assert drawn.condition_sum() == reference_condition_sum(drawn)
         nonzero += any(drawn.condition_sum())
+        if any(b % 2 for b in drawn.left.boundaries + drawn.right.boundaries):
+            continue
+        # the drawn split in the library's shape: component ends and offsets do not
+        # change in the lift, and make_yz does not read the breakpoint positions
+        library = (path, x, *((list(half.boundaries), [p in half.members for p in range(len(member))],
+                               ends, offsets, at)
+                              for half, (_, member, ends, offsets, at) in zip((drawn.left, drawn.right), halves)))
+        try:
+            make_yz(library)
+        except InternalInvariantError as err:
+            if "slot budget" in str(err):
+                continue
+            assert str(err).startswith("repair moves changed the balance sum")
+            assert err.payload == {"sum": reference_condition_sum(drawn)} != {"sum": (0,) * path.n}
+            balance_errors += 1
+        else:
+            assert not any(reference_condition_sum(drawn))
     assert nonzero >= len(splits) // 2
+    assert balance_errors >= len(splits) // 8, balance_errors
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -552,18 +612,112 @@ def test_yz_reassembles_to_the_original_tuple(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
     yz = make_yz(lift_to_lattice(refine_and_split(*traced(x, n), k)))
+    ref = reference_split(*traced(x, n), k)
+    assert yz == (ref.y, ref.z, ref.blocking)
+    y_spans, z_spans, blocking = yz
     w = flatten(x)
-    y = tuple(w[s:e] for s, e in yz.y)
-    z = tuple(w[s:e] for s, e in yz.z)
-    assert all(0 <= s <= e <= len(w) for s, e in yz.y + yz.z)
+    y = tuple(w[s:e] for s, e in y_spans)
+    z = tuple(w[s:e] for s, e in z_spans)
+    assert all(0 <= s <= e <= len(w) for s, e in y_spans + z_spans)
     assert len(y) == len(z) == m
-    assert yz.blocking.violations(m) == []
-    assert apply_blocking(yz.blocking, y, z) == x
+    assert blocking.violations(m) == []
+    assert apply_blocking(blocking, y, z) == x
     assert displacement(flatten(y), n) == (0,) * n
     assert displacement(flatten(z), n) == (0,) * n
     total = len(w)
     assert len(flatten(y)) + len(flatten(z)) == total
     assert 1 <= len(flatten(y)) <= total - 1  # strict descent on both sides
+
+
+def split_outcome(stages, path, x, k):
+    """(y, z, blocking) from the given stages, or the error's text and payload."""
+    try:
+        return stages(path, x, k)
+    except InternalInvariantError as err:
+        return str(err), err.payload
+
+
+def library_split(path, x, k):
+    return make_yz(lift_to_lattice(refine_and_split(path, x, k)))
+
+
+def reference_outcome(path, x, k):
+    ref = reference_split(path, x, k)
+    return ref.y, ref.z, ref.blocking
+
+
+def test_split_stages_match_the_reference(monkeypatch):
+    """Every split that synthesis makes on seeded shuffled, walk and block words
+    at ranks 1 to 6, and on the random spreads, gives the same y, z and
+    blocking through the library's stages as through the reference's
+    dataclass stages. The cases include lifts that move at k = 1, 2 and 3,
+    k = 1 halves with no row-0 answer on the word's keys, and breakpoints
+    that land on a component cut; the minimal unrepairable split fails alike."""
+    def run():
+        rng = random.Random(4242)
+        for n in range(1, 7):
+            k, m = grammar_params(n)
+            for length in (m + 2, 3 * m) if k == 3 else (m + 2, 3 * m, 12 * m):
+                for family in (shuffled_pairs, walk_and_return):
+                    synthesize_word(family(rng, n, length), n)
+            for r in (2, 3) if k == 3 else (2, 3, 5, 8):
+                synthesize_word(block_word(n, r), n)
+        for n, x in random_spreads():
+            synthesize(x, make_grammar(n))
+
+    inputs = recorded_split_inputs(monkeypatch, run)
+    seen = Counter()
+    for path, x, k in inputs:
+        split = refine_and_split(path, x, k)
+        for (bounds, _, ends, _, at), spans in zip(split[2:], (x[: len(x) // 2], x[len(x) // 2 :])):
+            seen["breakpoint on a cut"] += any(bounds[i] in ends[:-1] for i in at)
+            if k == 1:
+                target = sum(path.keys[2 * e] - path.keys[2 * s] for s, e in spans) // 2
+                seen["k = 1, no row 0"] += row_zero(path.keys, spans, target) is None
+        seen["moves", k] += any(split[h][0][i] % 2 for h in (2, 3) for i in split[h][4])
+        seen["ranks", path.n] += 1
+        assert split_outcome(library_split, path, x, k) == split_outcome(reference_outcome, path, x, k)
+    assert all(seen["ranks", n] for n in range(1, 7)), seen
+    assert all(seen["moves", k] >= 100 for k in (1, 2, 3)), seen
+    assert seen["k = 1, no row 0"] >= 100 and seen["breakpoint on a cut"] >= 500, seen
+    path, x = traced((("a1",), (), (), (), (), ("A1",)), 1)
+    outcome = split_outcome(library_split, path, x, 1)
+    assert outcome[0].startswith("no mid-lattice endpoint can move")
+    assert outcome == split_outcome(reference_outcome, path, x, 1)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_make_yz_reports_a_changed_balance_sum(n):
+    """A lifted split whose boundaries are moved afterwards, one edge at a
+    breakpoint, still reads off on even parameters within the slot budget,
+    but its member parts no longer balance: make_yz refuses it with the
+    reference's condition sum as payload."""
+    k, m = grammar_params(n)
+    w = walk_and_return(random.Random(n), n, 3 * m)
+    path, spans = traced((w[:1],) + ((),) * (m - 2) + (w[1:],), n)
+    split = lift_to_lattice(refine_and_split(path, spans, k))
+    bounds, _, _, _, at = split[3]
+    i = next(i for i in at if bounds[i] - 2 >= bounds[i - 1])
+    bounds[i] -= 2
+    with pytest.raises(InternalInvariantError) as info:
+        make_yz(split)
+    assert str(info.value).startswith("repair moves changed the balance sum")
+    assert info.value.payload == {"sum": as_refined(split).condition_sum()}
+    assert any(info.value.payload["sum"])
+
+
+def test_make_yz_reports_an_over_full_side():
+    """Every part on the member side overflows y's m slots."""
+    for n in range(1, 7):
+        k, m = grammar_params(n)
+        w = walk_and_return(random.Random(n), n, 3 * m)
+        split = lift_to_lattice(refine_and_split(*traced((w[:1],) + ((),) * (m - 2) + (w[1:],), n), k))
+        for half in split[2:]:
+            half[1][:] = [True] * len(half[1])
+        with pytest.raises(InternalInvariantError) as info:
+            make_yz(split)
+        assert str(info.value).startswith("side exceeds the slot budget")
+        assert info.value.payload == {"y": m + 4 * k, "z": 0, "m": m}
 
 
 def test_base_derivation_small_tuples():

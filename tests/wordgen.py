@@ -1,14 +1,18 @@
-"""Deterministic word generators and small oracles shared by the tests."""
+"""Deterministic word generators, small oracles and the reference split stage shared by the tests."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations_with_replacement, product
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain, combinations_with_replacement, product, repeat
 from typing import Iterator
 
 import hypothesis.strategies as st
 
-from mcfgkit import LatticePath, Vec, Word, alphabet, make_token
+from mcfgkit import Blocking, InternalInvariantError, LatticePath, Vec, Word, alphabet, make_token
+from mcfgkit.burago import burago_partition, row_zero
 
 
 def all_words(n: int, max_len: int) -> Iterator[Word]:
@@ -91,11 +95,6 @@ def step_at(path: LatticePath, p: int) -> tuple[int, int]:
     return path.steps[p // 2]
 
 
-def part_count(half) -> int:
-    """The number of parts a HalfSplit's boundaries cut its half into."""
-    return len(half.boundaries) - 1
-
-
 def interval_sum(pts: tuple[Vec, ...], bp: tuple[int, ...]) -> Vec:
     """sum_i (pts[s_i] - pts[t_i]) over the breakpoints (t1, s1, ..., tk, sk)."""
     pairs = list(zip(bp[::2], bp[1::2]))
@@ -116,3 +115,209 @@ def abcd_oracle(word: Word) -> bool:
     """True exactly for a^j b^j c^j d^j."""
     j, rem = divmod(len(word), 4)
     return rem == 0 and word == ("a",) * j + ("b",) * j + ("c",) * j + ("d",) * j
+
+
+# The split stage as it stood when its stages passed frozen dataclasses: the
+# reference whose y, z, blocking and failures the library's stages must repeat.
+Span = tuple[int, int]
+
+
+@dataclass(frozen=True)
+class HalfSplit:
+    """One concatenated half, cut into parts on the half-unit grid.
+
+    word is the input word's path and spans the half's components as
+    (start, end) token spans of it; the half's own path, those spans'
+    steps in order, is built on demand as `path`. boundaries has
+    len(parts)+1 sorted parameters of that path starting at 0 and ending
+    at 2L; members holds the 0-based part indices on the chosen side of
+    the balance condition (S for the left half, T for the right).
+    component_cuts are the even parameters of the original component
+    boundaries, with multiplicity, and appear among boundaries verbatim.
+    """
+
+    word: LatticePath
+    spans: tuple[Span, ...]
+    component_cuts: tuple[int, ...]
+    boundaries: tuple[int, ...]
+    members: frozenset[int]
+
+    @cached_property
+    def path(self) -> LatticePath:
+        return self.word.sub_path(self.spans)
+
+    def offset(self, c: int) -> int:
+        """What turns a parameter of the half in component c into one of the word."""
+        return 2 * self.spans[c][0] - (c and self.component_cuts[c - 1])
+
+
+@dataclass(frozen=True)
+class RefinedSplit:
+    """Both halves of an m-tuple, refined and tagged with S and T."""
+
+    left: HalfSplit
+    right: HalfSplit
+
+    @property
+    def m(self) -> int:
+        return 2 * len(self.left.spans)
+
+    def condition_sum(self) -> Vec:
+        """Sum of doubled part differences over S and T; zero when balanced."""
+        # each part is read on the word's keys in the first component ending at or
+        # past its end; the parts are disjoint, so the sum lies in [-2L, 2L]
+        keys, total = self.left.word.keys, 0
+        for half in (self.left, self.right):
+            b = half.boundaries
+            for p in half.members:
+                off = half.offset(bisect_left(half.component_cuts, b[p + 1]))
+                total += keys[b[p + 1] + off] - keys[b[p] + off]
+        return self.left.word.vector(total)
+
+
+@dataclass(frozen=True)
+class YZSplit:
+    """Two m-tuples of spans plus the blocking that reassembles the original one."""
+
+    y: tuple[Span, ...]
+    z: tuple[Span, ...]
+    blocking: Blocking
+
+
+def _reference_half(path: LatticePath, spans: tuple[Span, ...], k: int, target: int,
+                    prefer_large: bool) -> HalfSplit:
+    """One half cut at its breakpoints and component cuts, with its member side."""
+    s1 = row_zero(path.keys, spans, target) if k == 1 else None
+    breakpoints = burago_partition(path.sub_path(spans), k).breakpoints if s1 is None else (0, s1)
+    ends = tuple(accumulate([2 * (e - s) for s, e in spans]))
+    cuts = ends[:-1]
+    boundaries = (0, *sorted(cuts + breakpoints), ends[-1])
+    # breakpoint j is boundary bisect_right(cuts, b) + j + 1, as cuts come first at ties
+    at = [bisect_right(cuts, b) + j for j, b in enumerate(breakpoints, 1)]
+    members = frozenset(chain.from_iterable(map(range, at[::2], at[1::2])))
+    count = len(boundaries) - 1
+    if (2 * len(members) < count) if prefer_large else (2 * len(members) > count):
+        members = frozenset(range(count)) - members
+    return HalfSplit(path, spans, cuts, boundaries, members)
+
+
+def reference_refine(path: LatticePath, x: tuple[Span, ...], k: int) -> RefinedSplit:
+    """Both halves of a zero-displacement m-tuple of spans, refined (no validation)."""
+    m, keys = len(x), path.keys
+    left = sum(keys[2 * e] - keys[2 * s] for s, e in x[: m // 2])
+    return RefinedSplit(_reference_half(path, x[: m // 2], k, left // 2, True),
+                        _reference_half(path, x[m // 2 :], k, -left // 2, False))
+
+
+def reference_lift(split: RefinedSplit) -> RefinedSplit:
+    """Every odd boundary paired with one on the same axis and both moved, in trial
+    order, then the balance sum checked."""
+    halves = (split.left, split.right)
+    bounds = [list(half.boundaries) for half in halves]
+    odd = []
+    for h, (b, half) in enumerate(zip(bounds, halves)):
+        members, steps, cuts = half.members, half.word.steps, half.component_cuts
+        for i in range(1, len(b) - 1):
+            if b[i] % 2:
+                side = ((i - 1) in members) - (i in members)
+                axis, sign = steps[(b[i] + half.offset(bisect_right(cuts, b[i]))) // 2]
+                odd.append((h, i, side, axis, sign * side))
+    result = split
+    if odd:
+        total = sum(b[-1] for b in bounds)
+        inside = sum([b[p + 1] - b[p] for b, half in zip(bounds, halves) for p in half.members])
+        while odd:
+            for moves, grow in _reference_moves(odd):
+                if 1 <= inside + grow <= total - 1 and _reference_apply(bounds, moves):
+                    break
+            else:
+                raise InternalInvariantError(
+                    "no mid-lattice endpoint can move",
+                    {
+                        "left_boundaries": tuple(bounds[0]),
+                        "right_boundaries": tuple(bounds[1]),
+                        "left_members": sorted(split.left.members),
+                        "right_members": sorted(split.right.members),
+                        "left_steps": split.left.path.steps,
+                        "right_steps": split.right.path.steps,
+                    },
+                )
+            inside += grow
+            done = {(h, i) for h, i, _ in moves}
+            odd = [o for o in odd if o[:2] not in done]
+        result = RefinedSplit(*(HalfSplit(half.word, half.spans, half.component_cuts,
+                                          tuple(b), half.members)
+                                for half, b in zip(halves, bounds)))
+    if any(result.condition_sum()):
+        raise InternalInvariantError(
+            "repair moves changed the balance sum",
+            {"sum": result.condition_sum()},
+        )
+    return result
+
+
+def _reference_moves(odd: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[tuple, int]]:
+    """Boundaries in order, each with every partner on the same axis in order; -1 before +1."""
+    for h, i, side, axis, effect in odd:
+        for h2, j, side2, axis2, effect2 in odd:
+            if axis2 == axis and (h2, j) != (h, i):
+                for delta in (-1, 1):
+                    delta2 = -delta * effect * effect2
+                    yield ((h, i, delta), (h2, j, delta2)), delta * side + delta2 * side2
+
+
+def _reference_apply(bounds: list[list[int]], moves: tuple[tuple[int, int, int], ...]) -> bool:
+    for h, i, delta in moves:
+        bounds[h][i] += delta
+    if all(bounds[h][i - 1] <= bounds[h][i] <= bounds[h][i + 1] for h, i, _ in moves):
+        return True
+    for h, i, delta in moves:
+        bounds[h][i] -= delta
+    return False
+
+
+def reference_yz(split: RefinedSplit) -> YZSplit:
+    """y takes the member parts (S, then T), z the rest; each part's owner gives its
+    span of the word and its block."""
+    m = split.m
+    y: list[Span] = []
+    z: list[Span] = []
+    blocks: list[list[int]] = [[] for _ in range(m)]
+    for own, half in ((blocks[: m // 2], split.left), (blocks[m // 2 :], split.right)):
+        b, members = half.boundaries, half.members
+        owners = map(bisect_left, repeat(half.component_cuts), b[1:])
+        for p, (lo, hi, c) in enumerate(zip(b, b[1:], owners)):
+            if lo % 2 or hi % 2:
+                raise ValueError(f"part {p} spans odd parameters ({lo}, {hi})")
+            off = half.offset(c)
+            span = ((lo + off) // 2, (hi + off) // 2)
+            if p in members:
+                y.append(span)
+                own[c].append(len(y))
+            else:
+                z.append(span)
+                own[c].append(m + len(z))
+    if len(y) > m or len(z) > m:
+        raise InternalInvariantError(
+            "side exceeds the slot budget", {"y": len(y), "z": len(z), "m": m}
+        )
+    blocks[-1].extend(chain(range(len(y) + 1, m + 1), range(m + len(z) + 1, 2 * m + 1)))
+    y.extend([(0, 0)] * (m - len(y)))
+    z.extend([(0, 0)] * (m - len(z)))
+    return YZSplit(tuple(y), tuple(z), Blocking(tuple(map(tuple, blocks))))
+
+
+def reference_split(path: LatticePath, x: tuple[Span, ...], k: int) -> YZSplit:
+    """y, z and the blocking of the m-tuple of spans x, through the reference stages."""
+    return reference_yz(reference_lift(reference_refine(path, x, k)))
+
+
+def as_refined(split) -> RefinedSplit:
+    """A split of the library's stages, (path, x, left, right), as the reference's
+    dataclasses: a snapshot, since the library's lift edits its bounds in place."""
+    path, x, *halves = split
+    m = len(x)
+    return RefinedSplit(*(
+        HalfSplit(path, spans, tuple(ends[:-1]), tuple(bounds),
+                  frozenset(p for p, f in enumerate(member) if f))
+        for spans, (bounds, member, ends, _, _) in zip((x[: m // 2], x[m // 2 :]), halves)))
