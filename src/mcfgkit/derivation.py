@@ -4,6 +4,13 @@ A derivation is valid when every step instantiates a concrete rule (via an
 explicit substitution) or a schema (via an explicit Blocking), and each
 premise index points at an earlier step whose conclusion matches exactly.
 The derivation as a whole "ends in" the conclusion of its last step.
+
+Derivations are read and written as canonical JSON text. dumps_derivation
+writes it from the steps, rendering each repeated value once per call and
+joining all pieces once; loads_derivation type-tests every field over all
+steps at once before it builds, and falls back to testing step by step,
+which words the error, when any test fails. Neither keeps state between
+calls.
 """
 
 from __future__ import annotations
@@ -11,7 +18,7 @@ from __future__ import annotations
 import gc
 import threading
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable, Iterable, NamedTuple
 
@@ -221,32 +228,73 @@ def dumps_derivation(d: Derivation) -> str:
     object {"steps": [{"conclusion": {"components", "nt"}, "premises",
     "rule": {"blocking", "schema"} or {"index"}, "subst"}, ...]}. Its depth
     is fixed, so every indent is a constant, and members are written in
-    sorted key order. Strings, token lists, blocking rows and schema rules
+    sorted key order. Each step appends its pieces to one list, which is
+    joined once: fixed text, each list's items joined in C, and the text
+    around the nt and around the rule, concrete or schema alike. Strings,
+    token lists, blocking rows, substitution entries, nt lines and rules
     repeat across steps; each distinct value is rendered once per call.
+
+    Raises ValueError, naming the step, for a step the format cannot hold:
+    a rule index with a schema or a blocking, or a schema without a
+    blocking, or neither a rule index nor a schema.
     """
     q = _Rendered(encode_basestring_ascii).__getitem__
     component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
-    binding = _Rendered(lambda w: _json_block(map(q, w), " " * 10)).__getitem__
     row = _Rendered(lambda b: _json_block(map(str, b), " " * 12)).__getitem__
-    schema_rule = _Rendered(lambda key: (
-        f'{{\n        "blocking": {_json_block(map(row, key[0].blocks), " " * 10)},\n'
-        f'        "schema": {q(key[1])}\n      }}')).__getitem__
-    steps = []
-    for step in d.steps:
-        if step.rule_index is not None:
-            rule = f'{{\n        "index": {step.rule_index}\n      }}'
-        else:
-            assert step.schema is not None and step.blocking is not None
-            rule = schema_rule((step.blocking, step.schema))
-        subst = step.subst and [f"{q(v)}: {binding(w)}" for v, w in sorted(dict(step.subst).items())]
-        steps.append(
-            '{\n      "conclusion": {\n'
-            f'        "components": {_json_block(map(component, step.conclusion), " " * 10)},\n'
-            f'        "nt": {q(step.conclusion_nt)}\n      }},\n'
-            f'      "premises": {_json_block(map(str, step.premises), " " * 8)},\n'
-            f'      "rule": {rule},\n'
-            f'      "subst": {_json_block(subst, " " * 8, "{}")}\n    }}')
-    return f'{{\n  "steps": {_json_block(steps, " " * 4)}\n}}\n'
+    binding = _Rendered(lambda vw: f"{q(vw[0])}: {_json_block(map(q, vw[1]), ' ' * 10)}").__getitem__
+    nt_line = _Rendered(lambda nt: f',\n        "nt": {q(nt)}\n      }},\n      "premises": ').__getitem__
+    rule_line = _Rendered(lambda key: _rule_line(*key, row, q)).__getitem__
+    pieces = ['{\n  "steps": [\n    ']
+    append = pieces.append
+    try:
+        for i, step in enumerate(d.steps):
+            comps, premises, subst = step.conclusion, step.premises, step.subst
+            if comps:
+                append('{\n      "conclusion": {\n        "components": [\n          ')
+                append(",\n          ".join(map(component, comps)))
+                append("\n        ]")
+            else:
+                append('{\n      "conclusion": {\n        "components": []')
+            append(nt_line(step.conclusion_nt))
+            if premises:
+                append("[\n        ")
+                append(",\n        ".join(map(str, premises)))
+                append("\n      ]")
+            else:
+                append("[]")
+            append(rule_line((step.rule_index, step.blocking, step.schema)))
+            if subst:
+                append("{\n        ")
+                append(",\n        ".join(map(binding, sorted(dict(subst).items()))))
+                append("\n      }\n    }")
+            else:
+                append("{}\n    }")
+            append(",\n    ")
+    except _Unwritable as err:
+        raise ValueError(f"step {i}: {err}") from None
+    if len(pieces) == 1:
+        return '{\n  "steps": []\n}\n'
+    pieces[-1] = "\n  ]\n}\n"  # in place of the separator after the last step
+    return "".join(pieces)
+
+
+class _Unwritable(Exception):
+    """A step's references that the derivation format cannot hold."""
+
+
+def _rule_line(rule_index: int | None, blocking: Blocking | None, schema: str | None,
+               row: Callable[[tuple[int, ...]], str], q: Callable[[str], str]) -> str:
+    """A step's text from its rule object to its subst key; _Unwritable if the references do not fit."""
+    if rule_index is not None:
+        if schema is not None or blocking is not None:
+            raise _Unwritable("a rule index cannot be written with a schema or a blocking")
+        return f',\n      "rule": {{\n        "index": {rule_index}\n      }},\n      "subst": '
+    if schema is None:
+        raise _Unwritable("a step must carry a rule index or a schema")
+    if blocking is None:
+        raise _Unwritable("a schema step must carry a blocking")
+    return (f',\n      "rule": {{\n        "blocking": {_json_block(map(row, blocking.blocks), " " * 10)},\n'
+            f'        "schema": {q(schema)}\n      }},\n      "subst": ')
 
 
 # the keys a derivation object may hold, at each level
@@ -256,14 +304,19 @@ _SCHEMA_RULE_KEYS = frozenset(("blocking", "schema"))
 # element type sets: json.loads builds exact types only, and true and
 # false are bools, so an exact-type test keeps them out of integer lists
 _LIST, _INT, _STR = frozenset((list,)), frozenset((int,)), frozenset((str,))
+_DICT = frozenset((dict,))
+_flat = chain.from_iterable
 
 _gc_lock = threading.Lock()
 
 
 def loads_derivation(text: str) -> Derivation:
-    """Parse derivation JSON, validating each step as its RuleInstance is built.
+    """Parse derivation JSON into steps, refusing any that breaks the format.
 
-    Equal blockings load as one shared Blocking, each built once its
+    The types of every field are tested over all steps first (_build_tested);
+    if one fails, the steps are tested one by one (_build_each), and the
+    GrammarFormatError names the first bad step and its first failing
+    check. Equal blockings load as one shared Blocking, each built once its
     integer lists have passed the same test every blocking gets. Nothing
     built here can form a cycle, so the cyclic collector is paused meanwhile
     (gc.disable, process-wide). It is switched under a lock and restored on
@@ -287,6 +340,78 @@ def _load_steps(text: str) -> Derivation:
     raw_steps = data["steps"]
     if type(raw_steps) is not list:
         raise GrammarFormatError("steps must be a list")
+    steps = _build_tested(raw_steps)
+    return Derivation(tuple(_build_each(raw_steps) if steps is None else steps))
+
+
+def _build_tested(raw_steps: list) -> list[RuleInstance] | None:
+    """The steps, with every type test made first over all steps at once; None if one fails.
+
+    Each pass tests one field of every step in C: the step objects and
+    their keys, the rule and conclusion objects, the conclusions' nt and
+    their size, the premise lists and their integers, the component lists
+    and their tokens, the blocking lists, rows and slots, and the
+    substitutions. The build loop then tests what these cannot: each
+    rule's keys with its index or schema type. Input that fails any test
+    is left to _build_each, which words the error; a test here may refuse
+    more than _build_each does, but never less.
+    """
+    if not (_typed(raw_steps, _DICT) and all(map(_STEP_KEYS.issuperset, raw_steps))):
+        return None
+    rules = list(map(dict.get, raw_steps, repeat("rule")))
+    concls = list(map(dict.get, raw_steps, repeat("conclusion")))
+    if not (_typed(rules, _DICT) and _typed(concls, _DICT)):
+        return None
+    nts = list(map(dict.get, concls, repeat("nt")))
+    components = list(map(dict.get, concls, repeat("components")))
+    premises = list(map(dict.get, raw_steps, repeat("premises"), repeat([])))
+    # an index rule reads as an empty blocking here; its keys are tested below
+    blockings = list(map(dict.get, rules, repeat("blocking"), repeat([])))
+    substs = list(map(dict.get, raw_steps, repeat("subst"), repeat({})))
+    if not (_typed(nts, _STR) and set(map(len, concls)) <= {2}
+            and _typed(components, _LIST) and _typed(_flat(components), _LIST)
+            and _typed(_flat(_flat(components)), _STR)
+            and _typed(premises, _LIST) and _typed(_flat(premises), _INT)
+            and _typed(blockings, _LIST) and _typed(_flat(blockings), _LIST)
+            and _typed(_flat(_flat(blockings)), _INT)
+            and _typed(substs, _DICT)):
+        return None
+    bound = list(_flat(map(dict.values, filter(None, substs))))
+    if not (_typed(bound, _LIST) and _typed(_flat(bound), _STR)):
+        return None
+    steps: list[RuleInstance] = []
+    shared: dict[tuple[tuple[int, ...], ...], Blocking] = {}
+    for rule, nt, comps, raw_premises, raw_blocking, raw_subst in zip(
+            rules, nts, components, premises, blockings, substs):
+        if len(rule) == 1:
+            # the one key is "index" exactly when its value is an integer
+            rule_index = rule.get("index")
+            if type(rule_index) is not int:
+                return None
+            schema = blocking = None
+        else:
+            schema = rule.get("schema")
+            if not (len(rule) == 2 and type(schema) is str and "blocking" in rule):
+                return None
+            rule_index = None
+            # every blocking passed its integer test above: (1,) == (True,) == (1.0,)
+            key = tuple(map(tuple, raw_blocking))
+            blocking = shared.get(key)
+            if blocking is None:
+                blocking = shared[key] = Blocking(key)
+        steps.append(RuleInstance(
+            nt, tuple(map(tuple, comps)), tuple(raw_premises), rule_index, schema, blocking,
+            tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())) if raw_subst else ()))
+    return steps
+
+
+def _typed(items: Iterable[Any], types: frozenset[type]) -> bool:
+    """Whether every item's exact type is one of types, tested in C."""
+    return set(map(type, items)) <= types
+
+
+def _build_each(raw_steps: list) -> list[RuleInstance]:
+    """The steps, each tested as it is built; raises at the first failing test of the first bad step."""
     steps: list[RuleInstance] = []
     blockings: dict[tuple[tuple[int, ...], ...], Blocking] = {}
     for i, entry in enumerate(raw_steps):
@@ -338,4 +463,4 @@ def _load_steps(text: str) -> Derivation:
             blocking=blocking,
             subst=tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())) if raw_subst else (),
         ))
-    return Derivation(tuple(steps))
+    return steps

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 Word = tuple[str, ...]
@@ -77,7 +78,7 @@ class Blocking(NamedTuple):
         out: list[str] = []
         if len(self.blocks) != m:
             out.append(f"expected {m} blocks, got {len(self.blocks)}")
-        seen = sorted(i for block in self.blocks for i in block)
+        seen = sorted(chain.from_iterable(self.blocks))
         if seen != list(range(1, 2 * m + 1)):
             out.append(f"blocks must use each source slot 1..{2 * m} exactly once")
         return out

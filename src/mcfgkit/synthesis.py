@@ -348,7 +348,8 @@ class _Synthesizer:
         own slot (2 per pair, within budget since the total is <= m),
         and one closing combine against the empty axiom arranges the
         letters into the requested components. The folds are appended
-        here as combine steps, like combine's, through apply_blocking.
+        here as schema steps carrying _fold_blocking(r, m); each fold's
+        conclusion is sliced together, which is what that blocking gives.
         """
         m = self.params.m
         path_steps = self.path.steps
@@ -380,9 +381,9 @@ class _Synthesizer:
             slot_of[plus], slot_of[minus] = 2 * r + 1, 2 * r + 2
             unit = self.axiom(1 + axis)
             if r:
-                blocking = _fold_blocking(r, m)
-                comps = apply_blocking(blocking, out[acc].conclusion, out[unit].conclusion)
-                out.append(RuleInstance(nt, comps, (acc, unit), None, nt, blocking))
+                # the letters placed so far, the unit's two letters, then its empty components
+                comps = out[acc].conclusion[: 2 * r] + out[unit].conclusion[: m - 2 * r]
+                out.append(RuleInstance(nt, comps, (acc, unit), None, nt, _fold_blocking(r, m)))
                 acc = len(out) - 1
             else:
                 acc = unit

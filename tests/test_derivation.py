@@ -374,6 +374,29 @@ def test_dumps_sorts_subst_names_of_a_built_step():
         expected, indent=2, sort_keys=True) + "\n"
 
 
+REFUSED_BLOCKING = Blocking(((1, 3), (2, 4)))
+
+
+@pytest.mark.parametrize("refs, defect", [
+    ({"rule_index": 0, "schema": "I"}, "a rule index cannot be written with a schema or a blocking"),
+    ({"rule_index": 0, "blocking": REFUSED_BLOCKING},
+     "a rule index cannot be written with a schema or a blocking"),
+    ({"rule_index": 0, "schema": "I", "blocking": REFUSED_BLOCKING},
+     "a rule index cannot be written with a schema or a blocking"),
+    ({"schema": "I"}, "a schema step must carry a blocking"),
+    ({}, "a step must carry a rule index or a schema"),
+    ({"blocking": REFUSED_BLOCKING}, "a step must carry a rule index or a schema"),
+], ids=["index-schema", "index-blocking", "index-both", "schema-alone", "neither", "blocking-alone"])
+def test_dumps_refuses_a_step_the_format_cannot_hold(refs, defect):
+    good = RuleInstance("I", ((), ()), (), 0)
+    schema = RuleInstance("I", ((), ()), (0, 0), None, "I", REFUSED_BLOCKING)
+    bad = RuleInstance("I", ((), ()), (0, 0), **refs)
+    for steps, at in (((bad,), 0), ((good, schema, bad, good), 2)):
+        with pytest.raises(ValueError) as info:
+            dumps_derivation(Derivation(steps))
+        assert type(info.value) is ValueError and str(info.value) == f"step {at}: {defect}"
+
+
 def test_loads_derivation_rejects_invalid_json():
     with pytest.raises(GrammarFormatError):
         loads_derivation("{")
@@ -536,57 +559,85 @@ def test_built_steps_equal_constructed_ones():
             step.premises = ()
 
 
-@pytest.mark.parametrize(
-    "bad, message",
-    [
-        ("x", "must be an object of conclusion, premises, rule, subst"),
-        ({**GOOD_STEP, "note": ""}, "must be an object of conclusion, premises, rule, subst"),
-        ({**GOOD_STEP, "rule": 7}, "rule must be an object"),
-        ({"conclusion": GOOD_STEP["conclusion"]}, "rule must be an object"),
-        ({**GOOD_STEP, "rule": {}}, "rule must be 'index' alone or 'schema' with 'blocking'"),
-        ({**GOOD_STEP, "rule": {"schema": "I"}},
-         "rule must be 'index' alone or 'schema' with 'blocking'"),
-        ({**GOOD_STEP, "rule": {"index": 0, "blocking": [[1, 3], [2, 4]]}},
-         "rule must be 'index' alone or 'schema' with 'blocking'"),
-        ({**GOOD_STEP, "rule": {"index": "0"}}, "rule index must be an integer"),
-        ({**GOOD_STEP, "rule": {"index": True}}, "rule index must be an integer"),
-        ({**GOOD_STEP, "rule": {"index": 0.0}}, "rule index must be an integer"),
-        ({**GOOD_STEP, "rule": {"schema": 1, "blocking": [[1, 3], [2, 4]]}},
-         "schema must be a string"),
-        ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [[1, 3], ["2", 4]]}},
-         "blocking must be a list of integer lists"),
-        ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [1, 3, 2, 4]}},
-         "blocking must be a list of integer lists"),
-        ({**GOOD_STEP, "rule": {"schema": "I", "blocking": {"1": [3]}}},
-         "blocking must be a list of integer lists"),
-        ({**GOOD_STEP, "subst": {"x": "ab"}}, "subst must map variables to token lists"),
-        ({**GOOD_STEP, "subst": {"x": ["a", 1]}}, "subst must map variables to token lists"),
-        ({**GOOD_STEP, "subst": [["x", []]]}, "subst must map variables to token lists"),
-        ({**GOOD_STEP, "subst": None}, "subst must map variables to token lists"),
-        ({"rule": GOOD_STEP["rule"]}, "conclusion must be {nt, components}"),
-        ({**GOOD_STEP, "conclusion": {"nt": "I"}}, "conclusion must be {nt, components}"),
-        ({**GOOD_STEP, "conclusion": {"nt": 1, "components": []}},
-         "conclusion must be {nt, components}"),
-        ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a"], "b"]}},
-         "conclusion must be {nt, components}"),
-        ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a", None]]}},
-         "conclusion must be {nt, components}"),
-        ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [], "arity": 0}},
-         "conclusion must be {nt, components}"),
-        ({**GOOD_STEP, "premises": ["0"]}, "premises must be a list of integers"),
-        ({**GOOD_STEP, "premises": [0, True]}, "premises must be a list of integers"),
-        ({**GOOD_STEP, "premises": [0.0]}, "premises must be a list of integers"),
-        ({**GOOD_STEP, "premises": 0}, "premises must be a list of integers"),
-        # the first failing check of a step is the one reported
-        ({"rule": 7, "conclusion": 7, "premises": 7}, "rule must be an object"),
-        ({**GOOD_STEP, "subst": [], "conclusion": 7}, "subst must map variables to token lists"),
-    ],
-)
+MALFORMED_STEPS = [
+    ("x", "must be an object of conclusion, premises, rule, subst"),
+    ({**GOOD_STEP, "note": ""}, "must be an object of conclusion, premises, rule, subst"),
+    ({**GOOD_STEP, "rule": 7}, "rule must be an object"),
+    ({"conclusion": GOOD_STEP["conclusion"]}, "rule must be an object"),
+    ({**GOOD_STEP, "rule": {}}, "rule must be 'index' alone or 'schema' with 'blocking'"),
+    ({**GOOD_STEP, "rule": {"schema": "I"}},
+     "rule must be 'index' alone or 'schema' with 'blocking'"),
+    ({**GOOD_STEP, "rule": {"index": 0, "blocking": [[1, 3], [2, 4]]}},
+     "rule must be 'index' alone or 'schema' with 'blocking'"),
+    ({**GOOD_STEP, "rule": {"index": "0"}}, "rule index must be an integer"),
+    ({**GOOD_STEP, "rule": {"index": True}}, "rule index must be an integer"),
+    ({**GOOD_STEP, "rule": {"index": 0.0}}, "rule index must be an integer"),
+    ({**GOOD_STEP, "rule": {"schema": 1, "blocking": [[1, 3], [2, 4]]}},
+     "schema must be a string"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [[1, 3], ["2", 4]]}},
+     "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [1, 3, 2, 4]}},
+     "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": {"1": [3]}}},
+     "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "subst": {"x": "ab"}}, "subst must map variables to token lists"),
+    ({**GOOD_STEP, "subst": {"x": ["a", 1]}}, "subst must map variables to token lists"),
+    ({**GOOD_STEP, "subst": [["x", []]]}, "subst must map variables to token lists"),
+    ({**GOOD_STEP, "subst": None}, "subst must map variables to token lists"),
+    ({"rule": GOOD_STEP["rule"]}, "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I"}}, "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "conclusion": {"nt": 1, "components": []}},
+     "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a"], "b"]}},
+     "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a", None]]}},
+     "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [], "arity": 0}},
+     "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "premises": ["0"]}, "premises must be a list of integers"),
+    ({**GOOD_STEP, "premises": [0, True]}, "premises must be a list of integers"),
+    ({**GOOD_STEP, "premises": [0.0]}, "premises must be a list of integers"),
+    ({**GOOD_STEP, "premises": 0}, "premises must be a list of integers"),
+    # the first failing check of a step is the one reported
+    ({"rule": 7, "conclusion": 7, "premises": 7}, "rule must be an object"),
+    ({**GOOD_STEP, "subst": [], "conclusion": 7}, "subst must map variables to token lists"),
+]
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_STEPS)
 def test_malformed_later_step_names_its_index_and_check(bad, message):
     text = json.dumps({"steps": [GOOD_STEP, bad, "x"]})
     with pytest.raises(GrammarFormatError) as info:
         loads_derivation(text)
     assert str(info.value) == f"step 1: {message}"
+
+
+@pytest.mark.parametrize("bad, message", MALFORMED_STEPS + [
+    ({**GOOD_STEP, "premises": [0, 1, True]}, "premises must be a list of integers"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [[1, 3], [2, 4.0]]}},
+     "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": [[1, 3], [2, 4], 5]}},
+     "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I", "components": [["a"], ["b", 1]]}},
+     "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I", "components": "ab"}},
+     "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "subst": {"x": ["a"], "y": "b"}}, "subst must map variables to token lists"),
+    # empty containers of the wrong type, whose items would pass any item test
+    (["rule", "conclusion"], "must be an object of conclusion, premises, rule, subst"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": {}}}, "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "rule": {"schema": "I", "blocking": ""}}, "blocking must be a list of integer lists"),
+    ({**GOOD_STEP, "conclusion": {"nt": "I", "components": {}}}, "conclusion must be {nt, components}"),
+    ({**GOOD_STEP, "premises": ""}, "premises must be a list of integers"),
+    ({**GOOD_STEP, "subst": {"x": {}}}, "subst must map variables to token lists"),
+])
+def test_malformed_step_after_good_ones_names_its_index_and_check(bad, message):
+    # nothing after the defect fails, so only the loader's tests over all
+    # steps at once can find it before the step-by-step loop words it
+    text = json.dumps({"steps": [GOOD_STEP] * 100 + [bad, GOOD_STEP]})
+    with pytest.raises(GrammarFormatError) as info:
+        loads_derivation(text)
+    assert str(info.value) == f"step 100: {message}"
 
 
 @pytest.mark.parametrize("bad", [[[True, 3], [2, 4]], [[1, 3], [2, 4.0]], [[1.0, 3.0], [2.0, 4.0]]])
