@@ -3,6 +3,12 @@
 Exit codes: 0 for a positive result, 1 for a valid negative answer
 (non-membership, failed verification, unrecognized string), 2 for usage
 errors, malformed files, internal invariant failures, or xcheck mismatches.
+
+Each command runs with the cyclic collector paused, through the loader's
+helper derivation.collector_paused, and leaves it as it found it on every
+exit. That is safe because no command builds a reference cycle: the
+collector could free nothing, and would only re-walk live derivations,
+its full passes landing inside whichever step allocated at the time.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from .burago import InternalInvariantError, burago_partition
 from .derivation import (
     DerivationError,
     check_derivation,
+    collector_paused,
     dumps_derivation,
     loads_derivation,
 )
@@ -315,7 +322,8 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
+        with collector_paused():
+            return args.handler(args)
     except InternalInvariantError as exc:
         print(f"internal invariant failed: {exc}", file=sys.stderr)
         return 2

@@ -11,6 +11,11 @@ joining all pieces once; loads_derivation type-tests every field over all
 steps at once before it builds, and falls back to testing step by step,
 which words the error, when any test fails. Neither keeps state between
 calls.
+
+collector_paused is the one place the cyclic collector is paused: around
+each load here, and around each command in the CLI. Nothing that deriving,
+checking, writing or loading builds forms a reference cycle, so a pass of
+the collector over it finds nothing to free.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
     if not d.steps:
         raise DerivationError(0, "empty-derivation", "derivation has no steps")
 
-    steps = d.steps
+    steps, rules = d.steps, g.rules
     # each (blocking, arity) that passed; equal blockings share an entry
     valid_blockings: set[tuple[Blocking, int]] = set()
     for i, step in enumerate(steps):
@@ -136,18 +141,20 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
             if not 0 <= p < i:
                 raise DerivationError(i, "premise-not-derived",
                                       f"premise index {p} is not an earlier step")
-        if (step.rule_index is None) == (step.schema is None):
+        rule_index = step.rule_index
+        if (rule_index is None) == (step.schema is None):
             raise DerivationError(i, "unknown-rule",
                                   "step must reference exactly one of a rule index or a schema")
-        if step.rule_index is not None:
-            if not 0 <= step.rule_index < len(g.rules):
-                raise DerivationError(i, "unknown-rule", f"no rule with index {step.rule_index}")
+        if rule_index is not None:
+            # exact int: True would index rule 1, and 1.0 would raise TypeError
+            if type(rule_index) is not int or not 0 <= rule_index < len(rules):
+                raise DerivationError(i, "unknown-rule", f"no rule with index {rule_index!r}")
             if step.blocking is not None:
                 raise DerivationError(i, "blocking-malformed", "concrete step carries a blocking")
-            rule = g.rules[step.rule_index]
+            rule = rules[rule_index]
             if len(step.premises) != len(rule.rhs):
                 raise DerivationError(i, "premise-not-derived",
-                                      f"rule {step.rule_index} needs {len(rule.rhs)} premises, "
+                                      f"rule {rule_index} needs {len(rule.rhs)} premises, "
                                       f"got {len(step.premises)}")
             subst = step.subst_dict
             for (nt, names), p in zip(rule.rhs, step.premises):
@@ -235,8 +242,9 @@ def dumps_derivation(d: Derivation) -> str:
     repeat across steps; each distinct value is rendered once per call.
 
     Raises ValueError, naming the step, for a step the format cannot hold:
-    a rule index with a schema or a blocking, or a schema without a
-    blocking, or neither a rule index nor a schema.
+    a rule index that is not an int, a rule index with a schema or a
+    blocking, or a schema without a blocking, or neither a rule index nor
+    a schema.
     """
     q = _Rendered(encode_basestring_ascii).__getitem__
     component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
@@ -262,7 +270,11 @@ def dumps_derivation(d: Derivation) -> str:
                 append("\n      ]")
             else:
                 append("[]")
-            append(rule_line((step.rule_index, step.blocking, step.schema)))
+            rule_index = step.rule_index
+            # tested before the lookup: True and 1.0 would find the text rendered for 1
+            if rule_index is not None and type(rule_index) is not int:
+                raise _Unwritable(f"rule index {rule_index!r} is not an integer")
+            append(rule_line((rule_index, step.blocking, step.schema)))
             if subst:
                 append("{\n        ")
                 append(",\n        ".join(map(binding, sorted(dict(subst).items()))))
@@ -310,6 +322,31 @@ _flat = chain.from_iterable
 _gc_lock = threading.Lock()
 
 
+class collector_paused:
+    """A with-block run with the cyclic collector paused (gc.disable, process-wide).
+
+    The collector's state is read and switched under a lock, and restored
+    on exit, normal or raised: overlapping and nested blocks leave it as
+    the first found. Pause only work that builds no reference cycle. What
+    the block leaves alive is traversed at the next collection all the
+    same, so a pause inside one call moves that cost into the next. Exit
+    allocates nothing, so that next collection falls to the caller's next
+    allocation, not to the block's own exit.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __enter__(self) -> None:
+        with _gc_lock:
+            self.enabled = gc.isenabled()
+            gc.disable()
+
+    def __exit__(self, *exc: object) -> None:
+        if self.enabled:
+            with _gc_lock:
+                gc.enable()
+
+
 def loads_derivation(text: str) -> Derivation:
     """Parse derivation JSON into steps, refusing any that breaks the format.
 
@@ -318,19 +355,12 @@ def loads_derivation(text: str) -> Derivation:
     GrammarFormatError names the first bad step and its first failing
     check. Equal blockings load as one shared Blocking, each built once its
     integer lists have passed the same test every blocking gets. Nothing
-    built here can form a cycle, so the cyclic collector is paused meanwhile
-    (gc.disable, process-wide). It is switched under a lock and restored on
-    return and on every raise: overlapping calls leave it as the first found.
+    built here can form a cycle, so the load runs under collector_paused,
+    the helper every CLI command runs under too; the collector is left as
+    it was found, on return and on every raise.
     """
-    with _gc_lock:
-        enabled = gc.isenabled()
-        gc.disable()
-    try:
+    with collector_paused():
         return _load_steps(text)
-    finally:
-        if enabled:
-            with _gc_lock:
-                gc.enable()
 
 
 def _load_steps(text: str) -> Derivation:

@@ -112,6 +112,7 @@ def _witness(g: Grammar, target: Instance, derived: dict[Instance, _Provenance])
         return position[inst]
 
     build(target)
+    del build  # the closure refers to itself; drop the cycle with its tables
     return Derivation(tuple(steps))
 
 

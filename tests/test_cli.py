@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import json
@@ -387,6 +388,46 @@ def test_xcheck_reports_invariant_failures_per_word(monkeypatch, capsys):
         {"word": ["a1", "A1"], "invariant": "no breakpoints: {'word': ['a1', 'A1']}"}
     ]
     assert "cross-check failed" in err
+
+
+def failing_synthesis(w, n):
+    raise InternalInvariantError("no breakpoints", {"word": list(w)})
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("argv, code, synthesis", [
+    (["check", "--n", "1", "--word", "a1 A1"], 0, synthesize_word),
+    (["check", "--n", "1", "--word", "a1 a1"], 1, synthesize_word),
+    (["derive", "--n", "1", "--word", "zz"], 2, synthesize_word),
+    (["derive", "--n", "1"], 2, synthesize_word),
+    (["derive", "--n", "1", "--word", "a1 A1"], 2, failing_synthesis),
+], ids=["exit-0", "exit-1", "handler-value-error", "usage-error", "internal-invariant"])
+def test_run_leaves_the_collector_as_it_found_it(monkeypatch, enabled, argv, code, synthesis):
+    monkeypatch.setattr("mcfgkit.cli.synthesize_word", synthesis)
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_commands_run_with_the_collector_paused(monkeypatch, capsys):
+    seen = []
+
+    def recording(w, n):
+        seen.append(gc.isenabled())
+        return synthesize_word(w, n)
+
+    monkeypatch.setattr("mcfgkit.cli.synthesize_word", recording)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        code, _, _ = run_out(capsys, ["derive", "--n", "1", "--word", "a1 A1"])
+        assert code == 0 and seen == [False] and gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_verify_rejects_boolean_rule_index(tmp_path, capsys):

@@ -397,6 +397,20 @@ def test_dumps_refuses_a_step_the_format_cannot_hold(refs, defect):
         assert type(info.value) is ValueError and str(info.value) == f"step {at}: {defect}"
 
 
+@pytest.mark.parametrize("index", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_a_rule_index_that_is_not_an_int_is_refused(abcd_grammar, index):
+    steps = abcd_steps()
+    bad = replace(steps[1], rule_index=index)
+    # True passed as rule 1, and 1.0 raised TypeError
+    expect_code(abcd_grammar, (steps[0], bad, steps[2]), "unknown-rule", 1)
+    # the writer refuses one alone, and one after a step with the int 1
+    for written, at in (((steps[0], bad), 1), ((steps[0], steps[1], bad), 2)):
+        with pytest.raises(ValueError) as info:
+            dumps_derivation(Derivation(written))
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"step {at}: rule index {index!r} is not an integer"
+
+
 def test_loads_derivation_rejects_invalid_json():
     with pytest.raises(GrammarFormatError):
         loads_derivation("{")
