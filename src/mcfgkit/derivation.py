@@ -7,10 +7,10 @@ The derivation as a whole "ends in" the conclusion of its last step.
 
 Derivations are read and written as canonical JSON text. dumps_derivation
 writes it from the steps, rendering each repeated value once per call and
-joining all pieces once; loads_derivation type-tests every field over all
-steps at once before it builds, and falls back to testing step by step,
-which words the error, when any test fails. Neither keeps state between
-calls.
+joining all pieces once. loads_derivation runs one ordered list of format
+tests over all steps at once and then builds; when a test fails, the same
+tests run on one step at a time to name the first bad step and its first
+failing test. Neither keeps state between calls.
 
 collector_paused is the one place the cyclic collector is paused: around
 each load here, and around each command in the CLI. Nothing that deriving,
@@ -23,8 +23,9 @@ from __future__ import annotations
 import gc
 import threading
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from json.encoder import encode_basestring_ascii
+from operator import add, attrgetter, not_
 from typing import Any, Callable, Iterable, NamedTuple
 
 from .grammar import (
@@ -138,9 +139,10 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
     valid_blockings: set[tuple[Blocking, int]] = set()
     for i, step in enumerate(steps):
         for p in step.premises:
-            if not 0 <= p < i:
+            # exact int, as for the rule index: True would stand for step 1
+            if type(p) is not int or not 0 <= p < i:
                 raise DerivationError(i, "premise-not-derived",
-                                      f"premise index {p} is not an earlier step")
+                                      f"premise index {p!r} is not an earlier step")
         rule_index = step.rule_index
         if (rule_index is None) == (step.schema is None):
             raise DerivationError(i, "unknown-rule",
@@ -217,15 +219,15 @@ def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
 
 
 class _Rendered(dict):
-    """Text for each key, made by render on the key's first lookup."""
+    """A value for each key, text or a Blocking, made by render on the key's first lookup."""
 
-    def __init__(self, render: Callable[[Any], str]):
+    def __init__(self, render: Callable[[Any], Any]):
         super().__init__()
         self.render = render
 
-    def __missing__(self, key: Any) -> str:
-        text = self[key] = self.render(key)
-        return text
+    def __missing__(self, key: Any) -> Any:
+        value = self[key] = self.render(key)
+        return value
 
 
 def dumps_derivation(d: Derivation) -> str:
@@ -241,10 +243,10 @@ def dumps_derivation(d: Derivation) -> str:
     token lists, blocking rows, substitution entries, nt lines and rules
     repeat across steps; each distinct value is rendered once per call.
 
-    Raises ValueError, naming the step, for a step the format cannot hold:
-    a rule index that is not an int, a rule index with a schema or a
-    blocking, or a schema without a blocking, or neither a rule index nor
-    a schema.
+    Raises ValueError, naming the first step the format cannot hold: one
+    with a premise index or a rule index that is not an int, a rule index
+    with a schema or a blocking, a schema without a blocking, or neither a
+    rule index nor a schema.
     """
     q = _Rendered(encode_basestring_ascii).__getitem__
     component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
@@ -252,10 +254,17 @@ def dumps_derivation(d: Derivation) -> str:
     binding = _Rendered(lambda vw: f"{q(vw[0])}: {_json_block(map(q, vw[1]), ' ' * 10)}").__getitem__
     nt_line = _Rendered(lambda nt: f',\n        "nt": {q(nt)}\n      }},\n      "premises": ').__getitem__
     rule_line = _Rendered(lambda key: _rule_line(*key, row, q)).__getitem__
+    steps = d.steps
+    # one pass in C: True would be written as invalid JSON, and 1.0 as text the loader refuses
+    if not _typed(_flat(map(_premises, steps)), _INT):
+        bad = next(i for i, step in enumerate(steps) if not _typed(step.premises, _INT))
+        dumps_derivation(Derivation(steps[:bad]))  # an earlier step that cannot be written raises first
+        p = next(p for p in steps[bad].premises if type(p) is not int)
+        raise ValueError(f"step {bad}: premise index {p!r} is not an integer")
     pieces = ['{\n  "steps": [\n    ']
     append = pieces.append
     try:
-        for i, step in enumerate(d.steps):
+        for i, step in enumerate(steps):
             comps, premises, subst = step.conclusion, step.premises, step.subst
             if comps:
                 append('{\n      "conclusion": {\n        "components": [\n          ')
@@ -311,13 +320,13 @@ def _rule_line(rule_index: int | None, blocking: Blocking | None, schema: str | 
 
 # the keys a derivation object may hold, at each level
 _STEP_KEYS = frozenset(("conclusion", "premises", "rule", "subst"))
-_INDEX_RULE_KEYS = frozenset(("index",))
-_SCHEMA_RULE_KEYS = frozenset(("blocking", "schema"))
+_RULE_KEYS = frozenset(("blocking", "index", "schema"))
 # element type sets: json.loads builds exact types only, and true and
 # false are bools, so an exact-type test keeps them out of integer lists
 _LIST, _INT, _STR = frozenset((list,)), frozenset((int,)), frozenset((str,))
 _DICT = frozenset((dict,))
 _flat = chain.from_iterable
+_premises = attrgetter("premises")
 
 _gc_lock = threading.Lock()
 
@@ -350,14 +359,14 @@ class collector_paused:
 def loads_derivation(text: str) -> Derivation:
     """Parse derivation JSON into steps, refusing any that breaks the format.
 
-    The types of every field are tested over all steps first (_build_tested);
-    if one fails, the steps are tested one by one (_build_each), and the
-    GrammarFormatError names the first bad step and its first failing
-    check. Equal blockings load as one shared Blocking, each built once its
-    integer lists have passed the same test every blocking gets. Nothing
-    built here can form a cycle, so the load runs under collector_paused,
-    the helper every CLI command runs under too; the collector is left as
-    it was found, on return and on every raise.
+    _build runs each format test once over all steps; if one fails, it
+    runs again on one step at a time, and the GrammarFormatError names the
+    first bad step and its first failing test. Equal blockings load as one
+    shared Blocking, each built once its integer lists have passed the same
+    test every blocking gets. Nothing built here can form a cycle, so the
+    load runs under collector_paused, the helper every CLI command runs
+    under too; the collector is left as it was found, on return and on
+    every raise.
     """
     with collector_paused():
         return _load_steps(text)
@@ -370,69 +379,74 @@ def _load_steps(text: str) -> Derivation:
     raw_steps = data["steps"]
     if type(raw_steps) is not list:
         raise GrammarFormatError("steps must be a list")
-    steps = _build_tested(raw_steps)
-    return Derivation(tuple(_build_each(raw_steps) if steps is None else steps))
+    try:
+        return Derivation(tuple(_build(raw_steps)))
+    except _Malformed:
+        # the same tests, one step at a time, find the first bad step
+        for i, raw_step in enumerate(raw_steps):
+            try:
+                _build([raw_step])
+            except _Malformed as err:
+                raise GrammarFormatError(f"step {i}: {err}") from None
+        raise
 
 
-def _build_tested(raw_steps: list) -> list[RuleInstance] | None:
-    """The steps, with every type test made first over all steps at once; None if one fails.
+class _Malformed(Exception):
+    """The message of the first format test that some step fails."""
 
-    Each pass tests one field of every step in C: the step objects and
-    their keys, the rule and conclusion objects, the conclusions' nt and
-    their size, the premise lists and their integers, the component lists
-    and their tokens, the blocking lists, rows and slots, and the
-    substitutions. The build loop then tests what these cannot: each
-    rule's keys with its index or schema type. Input that fails any test
-    is left to _build_each, which words the error; a test here may refuse
-    more than _build_each does, but never less.
+
+def _build(raw_steps: list) -> list[RuleInstance]:
+    """The steps, built once every format test has passed over all of them.
+
+    Each test runs once over all steps, in C, in this order: the step
+    objects and their keys, the rule objects, their keys, the index type
+    of index rules, the schema type and blocking of schema rules, the
+    substitutions, the conclusions and the premises. The first test that
+    fails raises _Malformed with its message, so on one step it words
+    that step's first failing check. The build reuses the tested columns
+    and tests nothing more.
     """
     if not (_typed(raw_steps, _DICT) and all(map(_STEP_KEYS.issuperset, raw_steps))):
-        return None
+        raise _Malformed("must be an object of conclusion, premises, rule, subst")
     rules = list(map(dict.get, raw_steps, repeat("rule")))
-    concls = list(map(dict.get, raw_steps, repeat("conclusion")))
-    if not (_typed(rules, _DICT) and _typed(concls, _DICT)):
-        return None
-    nts = list(map(dict.get, concls, repeat("nt")))
-    components = list(map(dict.get, concls, repeat("components")))
-    premises = list(map(dict.get, raw_steps, repeat("premises"), repeat([])))
-    # an index rule reads as an empty blocking here; its keys are tested below
+    if not _typed(rules, _DICT):
+        raise _Malformed("rule must be an object")
+    is_index = list(map(dict.__contains__, rules, repeat("index")))
+    # keys among the three: one for an index rule, two for a schema rule
+    if not (all(map(_RULE_KEYS.issuperset, rules)) and set(map(add, map(len, rules), is_index)) <= {2}):
+        raise _Malformed("rule must be 'index' alone or 'schema' with 'blocking'")
+    indexes = list(map(dict.get, rules, repeat("index")))
+    if not _typed(compress(indexes, is_index), _INT):
+        raise _Malformed("rule index must be an integer")
+    schemas = list(map(dict.get, rules, repeat("schema")))
+    if not _typed(compress(schemas, map(not_, is_index)), _STR):
+        raise _Malformed("schema must be a string")
+    # an index rule reads as an empty blocking, which the build never looks up
     blockings = list(map(dict.get, rules, repeat("blocking"), repeat([])))
+    if not (_typed(blockings, _LIST) and _typed(rows := list(_flat(blockings)), _LIST)
+            and _typed(_flat(rows), _INT)):
+        raise _Malformed("blocking must be a list of integer lists")
     substs = list(map(dict.get, raw_steps, repeat("subst"), repeat({})))
-    if not (_typed(nts, _STR) and set(map(len, concls)) <= {2}
-            and _typed(components, _LIST) and _typed(_flat(components), _LIST)
-            and _typed(_flat(_flat(components)), _STR)
-            and _typed(premises, _LIST) and _typed(_flat(premises), _INT)
-            and _typed(blockings, _LIST) and _typed(_flat(blockings), _LIST)
-            and _typed(_flat(_flat(blockings)), _INT)
-            and _typed(substs, _DICT)):
-        return None
-    bound = list(_flat(map(dict.values, filter(None, substs))))
-    if not (_typed(bound, _LIST) and _typed(_flat(bound), _STR)):
-        return None
-    steps: list[RuleInstance] = []
-    shared: dict[tuple[tuple[int, ...], ...], Blocking] = {}
-    for rule, nt, comps, raw_premises, raw_blocking, raw_subst in zip(
-            rules, nts, components, premises, blockings, substs):
-        if len(rule) == 1:
-            # the one key is "index" exactly when its value is an integer
-            rule_index = rule.get("index")
-            if type(rule_index) is not int:
-                return None
-            schema = blocking = None
-        else:
-            schema = rule.get("schema")
-            if not (len(rule) == 2 and type(schema) is str and "blocking" in rule):
-                return None
-            rule_index = None
-            # every blocking passed its integer test above: (1,) == (True,) == (1.0,)
-            key = tuple(map(tuple, raw_blocking))
-            blocking = shared.get(key)
-            if blocking is None:
-                blocking = shared[key] = Blocking(key)
-        steps.append(RuleInstance(
-            nt, tuple(map(tuple, comps)), tuple(raw_premises), rule_index, schema, blocking,
-            tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())) if raw_subst else ()))
-    return steps
+    if not (_typed(substs, _DICT)
+            and _typed(bound := list(_flat(map(dict.values, filter(None, substs)))), _LIST)
+            and _strings(bound)):
+        raise _Malformed("subst must map variables to token lists")
+    concls = list(map(dict.get, raw_steps, repeat("conclusion")))
+    if not (_typed(concls, _DICT) and set(map(len, concls)) <= {2}
+            and _typed(nts := list(map(dict.get, concls, repeat("nt"))), _STR)
+            and _typed(components := list(map(dict.get, concls, repeat("components"))), _LIST)
+            and _typed(words := list(_flat(components)), _LIST) and _strings(words)):
+        raise _Malformed("conclusion must be {nt, components}")
+    premises = list(map(dict.get, raw_steps, repeat("premises"), repeat([])))
+    if not (_typed(premises, _LIST) and _typed(_flat(premises), _INT)):
+        raise _Malformed("premises must be a list of integers")
+    # equal blockings share one object; each passed the integer test: (1,) == (True,) == (1.0,)
+    shared = _Rendered(Blocking)
+    return [RuleInstance(nt, tuple(map(tuple, comps)), tuple(raw_premises), rule_index, schema,
+                         None if schema is None else shared[tuple(map(tuple, raw_blocking))],
+                         tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())) if raw_subst else ())
+            for nt, comps, raw_premises, rule_index, schema, raw_blocking, raw_subst in zip(
+                nts, components, premises, indexes, schemas, blockings, substs)]
 
 
 def _typed(items: Iterable[Any], types: frozenset[type]) -> bool:
@@ -440,57 +454,10 @@ def _typed(items: Iterable[Any], types: frozenset[type]) -> bool:
     return set(map(type, items)) <= types
 
 
-def _build_each(raw_steps: list) -> list[RuleInstance]:
-    """The steps, each tested as it is built; raises at the first failing test of the first bad step."""
-    steps: list[RuleInstance] = []
-    blockings: dict[tuple[tuple[int, ...], ...], Blocking] = {}
-    for i, entry in enumerate(raw_steps):
-        if not (type(entry) is dict and entry.keys() <= _STEP_KEYS):
-            raise GrammarFormatError(f"step {i}: must be an object of conclusion, premises, rule, subst")
-        ref = entry.get("rule")
-        if type(ref) is not dict:
-            raise GrammarFormatError(f"step {i}: rule must be an object")
-        if ref.keys() != (_INDEX_RULE_KEYS if "index" in ref else _SCHEMA_RULE_KEYS):
-            raise GrammarFormatError(f"step {i}: rule must be 'index' alone or 'schema' with 'blocking'")
-        rule_index = ref.get("index")
-        schema = ref.get("schema")
-        blocking: Blocking | None = None
-        if "index" in ref:
-            if type(rule_index) is not int:
-                raise GrammarFormatError(f"step {i}: rule index must be an integer")
-        elif type(schema) is not str:
-            raise GrammarFormatError(f"step {i}: schema must be a string")
-        else:
-            raw_blocking = ref["blocking"]
-            if not (type(raw_blocking) is list and set(map(type, raw_blocking)) <= _LIST
-                    and set(map(type, chain.from_iterable(raw_blocking))) <= _INT):
-                raise GrammarFormatError(f"step {i}: blocking must be a list of integer lists")
-            # looked up only after the test: (1,) == (True,) == (1.0,), hashes too
-            key = tuple(map(tuple, raw_blocking))
-            blocking = blockings.get(key)
-            if blocking is None:
-                blocking = blockings[key] = Blocking(key)
-        raw_subst = entry.get("subst", {})
-        if not (type(raw_subst) is dict and (not raw_subst or (
-                set(map(type, raw_subst.values())) <= _LIST
-                and set(map(type, chain.from_iterable(raw_subst.values()))) <= _STR))):
-            raise GrammarFormatError(f"step {i}: subst must map variables to token lists")
-        concl = entry.get("conclusion")
-        if not (type(concl) is dict and len(concl) == 2 and type(concl.get("nt")) is str
-                and type(components := concl.get("components")) is list
-                and set(map(type, components)) <= _LIST
-                and set(map(type, chain.from_iterable(components))) <= _STR):
-            raise GrammarFormatError(f"step {i}: conclusion must be {{nt, components}}")
-        raw_premises = entry.get("premises", [])
-        if not (type(raw_premises) is list and set(map(type, raw_premises)) <= _INT):
-            raise GrammarFormatError(f"step {i}: premises must be a list of integers")
-        steps.append(RuleInstance(
-            conclusion_nt=concl["nt"],
-            conclusion=tuple(map(tuple, components)),
-            premises=tuple(raw_premises),
-            rule_index=rule_index,
-            schema=schema,
-            blocking=blocking,
-            subst=tuple(sorted((v, tuple(w)) for v, w in raw_subst.items())) if raw_subst else (),
-        ))
-    return steps
+def _strings(lists: list[list]) -> bool:
+    """Whether every item of every list is a str, tested in C: join takes no other type."""
+    try:
+        list(map("".join, lists))
+    except TypeError:
+        return False
+    return True

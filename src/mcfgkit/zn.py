@@ -15,8 +15,9 @@ injective on vectors whose coordinates differ by less than base; `vector`
 unpacks a key whose coordinates lie within base/2 of zero.
 
 Words decode through a per-rank table from each of the 2n tokens to its
-(axis, sign); a word with a token outside it goes through the per-token
-parser instead, which names the first bad token.
+(axis, sign); the first token outside it is named, as malformed or as out
+of range. A rank that is not an int, and a step that cannot be hashed,
+raise TypeError.
 """
 
 from __future__ import annotations
@@ -74,15 +75,10 @@ def _decode(word: Word, n: int) -> tuple[tuple[int, int], ...]:
     """The (axis, sign) of every token, rejecting axes beyond n."""
     try:
         return tuple(map(_steps_of(n).__getitem__, word))
-    except (KeyError, TypeError):
-        pass  # a bad token or a non-int n: the loop below names the first bad token
-    steps = []
-    for token in word:
-        axis, sign = token_step(token)
-        if axis > n:
-            raise ValueError(f"token {token!r}: axis {axis} out of range for n={n}")
-        steps.append((axis, sign))
-    return tuple(steps)
+    except KeyError as missing:
+        token = missing.args[0]
+    axis, _ = token_step(token)  # names a malformed token
+    raise ValueError(f"token {token!r}: axis {axis} out of range for n={n}")
 
 
 def displacement(word: Word, n: int) -> Vec:
@@ -110,14 +106,10 @@ class LatticePath:
     steps: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        try:
-            if _valid_steps(self.n).issuperset(self.steps):
-                return
-        except TypeError:
-            pass  # a non-int rank or an unhashable step: the loop below decides
-        for axis, sign in self.steps:
-            if not 1 <= axis <= self.n or sign not in (1, -1):
-                raise ValueError(f"bad step: axis={axis}, sign={sign}")
+        valid = _valid_steps(self.n)
+        if not valid.issuperset(self.steps):
+            axis, sign = next(step for step in self.steps if step not in valid)
+            raise ValueError(f"bad step: axis={axis}, sign={sign}")
 
     def __len__(self) -> int:
         """Number of edges."""

@@ -411,6 +411,26 @@ def test_a_rule_index_that_is_not_an_int_is_refused(abcd_grammar, index):
         assert str(info.value) == f"step {at}: rule index {index!r} is not an integer"
 
 
+@pytest.mark.parametrize("premise", [True, 1.0, "1"], ids=["bool", "float", "str"])
+def test_a_premise_index_that_is_not_an_int_is_refused(abcd_grammar, premise):
+    steps = abcd_steps()
+    bad = replace(steps[2], premises=(premise,))
+    # True == 1 would pass as step 1, and 1.0 or "1" would fail the range test with TypeError
+    with pytest.raises(DerivationError) as info:
+        check_derivation(abcd_grammar, Derivation((steps[0], steps[1], bad)))
+    assert (info.value.step, info.value.code) == (2, "premise-not-derived")
+    assert info.value.detail == f"premise index {premise!r} is not an earlier step"
+    # the writer refuses one alone and one before a good step, but an
+    # earlier step it cannot write is named first
+    unwritable = f"premise index {premise!r} is not an integer"
+    for written, at, defect in (((bad,), 0, unwritable), ((*steps, bad, steps[2]), 3, unwritable),
+                                ((steps[0], replace(steps[1], rule_index=True), bad), 1,
+                                 "rule index True is not an integer")):
+        with pytest.raises(ValueError) as info:
+            dumps_derivation(Derivation(written))
+        assert type(info.value) is ValueError and str(info.value) == f"step {at}: {defect}"
+
+
 def test_loads_derivation_rejects_invalid_json():
     with pytest.raises(GrammarFormatError):
         loads_derivation("{")

@@ -3,10 +3,13 @@ and dumps_derivation against a plain reference written from the derivation
 format and check_derivation's docstring.
 
 Valid derivations (ranks 1, 2, 3 and 5, words of up to 40 letters) are
-mutated in twelve ways. The library and the reference must agree on
-accepting or rejecting each, on the first failing step and on the error
-code; the library must raise nothing but GrammarFormatError and
-DerivationError, and must dump what it loads as json.dumps would.
+mutated in twelve ways, some twice. The library and the reference must
+agree on accepting or rejecting each; on a malformed file, on the whole
+message, which names the first bad step and its first failing check in
+the README's order; on a file that breaks a rule, on the first failing
+step and the error code. The library must raise nothing but
+GrammarFormatError and DerivationError, and must dump what it loads as
+json.dumps would.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 import copy
 import json
 import random
-import re
 from collections import Counter
 
 from mcfgkit import (
@@ -41,43 +43,49 @@ def is_str_list(v) -> bool:
     return type(v) is list and all(type(t) is str for t in v)
 
 
-def step_format_ok(step) -> bool:
-    """One step as the format defines it; premises and subst may be left out."""
+def step_format_error(step) -> str | None:
+    """The first check one step fails, in the README's order; None if it has
+    the format's shape. Premises and subst may be left out."""
     if not (type(step) is dict and set(step) <= STEP_KEYS):
-        return False
+        return "must be an object of conclusion, premises, rule, subst"
     rule = step.get("rule")
     if type(rule) is not dict:
-        return False
-    if set(rule) == {"index"}:
-        if not is_int(rule["index"]):
-            return False
-    elif set(rule) == {"blocking", "schema"}:
+        return "rule must be an object"
+    if set(rule) not in ({"index"}, {"blocking", "schema"}):
+        return "rule must be 'index' alone or 'schema' with 'blocking'"
+    if "index" in rule and not is_int(rule["index"]):
+        return "rule index must be an integer"
+    if "schema" in rule:
+        if type(rule["schema"]) is not str:
+            return "schema must be a string"
         blocking = rule["blocking"]
-        if type(rule["schema"]) is not str or type(blocking) is not list:
-            return False
-        if not all(type(row) is list and all(is_int(s) for s in row) for row in blocking):
-            return False
-    else:
-        return False
+        if not (type(blocking) is list
+                and all(type(row) is list and all(is_int(s) for s in row) for row in blocking)):
+            return "blocking must be a list of integer lists"
     subst = step.get("subst", {})
     if not (type(subst) is dict and all(is_str_list(w) for w in subst.values())):
-        return False
+        return "subst must map variables to token lists"
     concl = step.get("conclusion")
     if not (type(concl) is dict and set(concl) == {"nt", "components"}
             and type(concl["nt"]) is str and type(concl["components"]) is list
             and all(is_str_list(c) for c in concl["components"])):
-        return False
+        return "conclusion must be {nt, components}"
     premises = step.get("premises", [])
-    return type(premises) is list and all(is_int(p) for p in premises)
+    if not (type(premises) is list and all(is_int(p) for p in premises)):
+        return "premises must be a list of integers"
+    return None
 
 
 def reference_load(obj):
-    """("format", step or None) for malformed data, else the steps with defaults filled in."""
-    if not (type(obj) is dict and set(obj) == {"steps"} and type(obj["steps"]) is list):
-        return ("format", None)
+    """("format", message) for malformed data, else the steps with defaults filled in."""
+    if not (type(obj) is dict and set(obj) == {"steps"}):
+        return ("format", "derivation must be a JSON object with the one key 'steps'")
+    if type(obj["steps"]) is not list:
+        return ("format", "steps must be a list")
     for i, step in enumerate(obj["steps"]):
-        if not step_format_ok(step):
-            return ("format", i)
+        error = step_format_error(step)
+        if error is not None:
+            return ("format", f"step {i}: {error}")
     return [dict(step, premises=step.get("premises", []), subst=step.get("subst", {}))
             for step in obj["steps"]]
 
@@ -157,8 +165,7 @@ def library_outcome(g, text):
     try:
         d = loads_derivation(text)
     except GrammarFormatError as err:
-        at = re.match(r"step (\d+):", str(err))
-        return ("format", int(at.group(1)) if at else None), None
+        return ("format", str(err)), None
     try:
         final = check_derivation(g, d)
     except DerivationError as err:
@@ -330,3 +337,39 @@ def test_verify_path_agrees_with_the_reference():
     common = ("ok", "format", "premise-not-derived", "template-mismatch",
               "blocking-malformed", "unknown-rule")
     assert seen["ok"] < 600 and min(seen[outcome] for outcome in common) >= 30, seen
+
+
+# defects that each fail one format check on a good step, and one that fails
+# two; a later defect on the same field replaces an earlier one
+DEFECTS = (
+    ("note", ""),
+    ("rule", 7),
+    ("rule", {"index": 0, "schema": "I"}),
+    ("rule", {"index": True}),
+    ("rule", {"schema": 1, "blocking": [[1, 2]]}),
+    ("rule", {"schema": "I", "blocking": [[1.0, 2]]}),
+    ("rule", {"schema": None, "blocking": "x"}),  # two defects in one rule
+    ("subst", {"x1": "a1"}),
+    ("conclusion", {"nt": 1, "components": []}),
+    ("conclusion", {"nt": "I", "components": [["a1", None]]}),
+    ("premises", [True]),
+    ("premises", [0.0]),
+)
+
+
+def test_stacked_format_defects_name_the_first_failing_check():
+    # the mutations above leave at most one format defect per step; these put
+    # two to four on one step, or on two steps, so the order of the checks shows
+    rng = random.Random(2028)
+    g = make_grammar(2)
+    base = json.loads(dumps_derivation(synthesize_word(shuffled_pairs(rng, 2, 16), 2)))
+    messages = Counter()
+    for _ in range(400):
+        obj = copy.deepcopy(base)
+        at = rng.sample(range(len(obj["steps"])), 2)
+        for field, value in rng.sample(DEFECTS, rng.randrange(2, 5)):
+            obj["steps"][at[rng.random() < 0.2]][field] = copy.deepcopy(value)
+        expected = reference_outcome(g, obj)
+        assert library_outcome(g, json.dumps(obj)) == expected, (obj, expected)
+        messages[expected[0][1].split(": ", 1)[1]] += 1
+    assert len(messages) == 9, messages

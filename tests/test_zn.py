@@ -157,6 +157,18 @@ def test_path_construction_validation():
         word_to_path(("a2",), 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: word_to_path(("a1", "A1"), 1.0),
+    lambda: displacement(("a1", "A1"), 1.0),
+    lambda: LatticePath(1.0, ((1, 1),)),
+    lambda: LatticePath(1, [[1, 1]]),
+], ids=["word-float-rank", "displacement-float-rank", "path-float-rank", "path-list-step"])
+def test_a_float_rank_or_an_unhashable_step_is_refused_at_once(build):
+    # as make_grammar(1.0) is; a path built from one would fail only at the first use of keys
+    with pytest.raises(TypeError):
+        build()
+
+
 @given(zero_displacement_words(2, max_pairs=6))
 def test_path_parity_invariants(word):
     path = word_to_path(word, 2)
