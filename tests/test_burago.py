@@ -26,6 +26,7 @@ from wordgen import (
     lex_min_reference,
     points,
     random_word,
+    reference_partition,
     shuffled_pairs,
     walk_and_return,
 )
@@ -324,3 +325,33 @@ def test_scan_first_search_matches_eager_table(monkeypatch):
             regimes["row start"] += 1
     assert low_rank >= 2000
     assert regimes["scan"] and regimes["mid-row"] and regimes["failed"], regimes
+
+
+def test_search_matches_the_reference_search():
+    # K = floor((n+1)/2) intervals always exist; at K - 1 many searches fail,
+    # and their payloads must be equal too. Factors have nonzero targets
+    max_len = {3: 48, 4: 48, 5: 32, 6: 28, 7: 20, 8: 16, 9: 14, 10: 12}
+    rng = random.Random(9001)
+    outcomes = {"hit": 0, "failed": 0}
+    for i in range(6000):
+        n = 3 + i % 8
+        k = grammar_params(n).k - 1 + i // 8 % 3
+        family = i // 24 % 5
+        length = rng.randrange(max_len[n] + 1)
+        if family == 0:
+            word = random_word(rng, n, max_len[n])
+        elif family == 1:
+            word = shuffled_pairs(rng, n, length)
+        elif family == 2:
+            word = walk_and_return(rng, n, length)
+        elif family == 3:
+            word = relabelled_block_word(rng, n, length)
+        else:
+            word = shuffled_pairs(rng, n, max_len[n])
+            a, b = sorted(rng.sample(range(len(word) + 1), 2))
+            word = word[a:b]
+        path = word_to_path(word, n)
+        expected = outcome(lambda p, k: reference_partition(p, k).breakpoints, path, k)
+        assert outcome(lambda p, k: burago_partition(p, k).breakpoints, path, k) == expected, (n, k, word)
+        outcomes["hit" if isinstance(expected, tuple) else "failed"] += 1
+    assert outcomes["failed"] >= 50, outcomes

@@ -1,4 +1,5 @@
-"""Deterministic word generators, small oracles and the reference split stage shared by the tests."""
+"""Deterministic word generators, small oracles, and the reference split stage and
+breakpoint search shared by the tests."""
 
 from __future__ import annotations
 
@@ -7,11 +8,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations_with_replacement, product, repeat
+from operator import sub
 from typing import Iterator
 
 import hypothesis.strategies as st
 
-from mcfgkit import Blocking, InternalInvariantError, LatticePath, Vec, Word, alphabet, make_token
+from mcfgkit import (Blocking, InternalInvariantError, LatticePath, SegmentPartition, Vec, Word,
+                     alphabet, l1, make_token)
 from mcfgkit.burago import burago_partition, row_zero
 
 
@@ -321,3 +324,123 @@ def as_refined(split) -> RefinedSplit:
         HalfSplit(path, spans, tuple(ends[:-1]), tuple(bounds),
                   frozenset(p for p, f in enumerate(member) if f))
         for spans, (bounds, member, ends, _, _) in zip((x[: m // 2], x[m // 2 :]), halves)))
+
+
+# The breakpoint search as it stood with two exits and a shared `chosen` list:
+# the reference whose tuples and failure payloads burago_partition must repeat.
+def reference_partition(path: LatticePath, k: int) -> SegmentPartition:
+    """Lexicographically smallest breakpoint tuple hitting half the displacement."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    pad = max(0, k - max(1, (path.n + 1) // 2))
+    pairs = k - pad
+    keys = path.keys
+    end = len(keys) - 1
+    # the lattice endpoint has even coordinates, so the halving is exact
+    target = keys[-1] // 2
+    if pairs == 1:
+        hit = _last(keys, _point_index(keys), 0, target)
+        if hit is None:
+            raise _no_tuple(path, k, target)
+        return SegmentPartition(path, k, (0, 0) * pad + hit)
+    at = _point_index(keys)
+
+    # at k >= 3 the level that uses the pair table is entered again from many
+    # earlier candidates, so they share one; k = 2 builds it only if its scans
+    # have read a third as many rows as the table has entries
+    latest = _pair_table(keys) if pairs >= 3 else None
+    budget = (end + 1) * (end + 2) // 6
+    dead: dict[tuple[int, int], int] = {}
+    chosen: list[int] = [0] * (2 * pad)
+
+    def search(pair: int, lo: int, rem: int) -> bool:
+        nonlocal latest, budget
+        if pair == pairs - 1:  # one interval; with more, pair k - 2 places the last two
+            hit = _last(keys, at, lo, rem)
+            if hit is None:
+                return False
+            chosen.extend(hit)
+            return True
+        state = (pair, rem)
+        stop = dead.get(state, end + 1)
+        if lo >= stop:
+            return False
+        need = l1(path.vector(rem))
+        if need > end - lo:
+            return False
+        # the intervals left lie in [t, end], so they cover l1 <= end - t; rows
+        # from stop on already failed with this remainder
+        rows = range(lo, min(stop, end - need + 1))
+        if pair == pairs - 2:
+            get = None if latest is None else latest.get
+            for t in rows:
+                shifted = rem + keys[t]
+                s = t
+                if latest is None:
+                    # scan while the budget lasts; a failed scan read end + 1 - s rows
+                    while budget > 0 and s <= end:
+                        hit = _last(keys, at, s, shifted - keys[s])
+                        if hit is not None:
+                            chosen.extend((t, s))
+                            chosen.extend(hit)
+                            return True
+                        budget -= end + 1 - s
+                        s += 1
+                    latest = _pair_table(keys)
+                    get = latest.get
+                # rem - (keys[s] - keys[t]) must be the difference of a pair
+                # starting at or after s
+                for s in range(s, end + 1):
+                    if get(shifted - keys[s], -1) >= s:
+                        chosen.extend((t, s))
+                        chosen.extend(_last(keys, at, s, shifted - keys[s]))
+                        return True
+        else:
+            for t in rows:
+                shifted = rem + keys[t]
+                for s in range(t, end + 1):
+                    chosen.append(t)
+                    chosen.append(s)
+                    if search(pair + 1, s, shifted - keys[s]):
+                        return True
+                    chosen.pop()
+                    chosen.pop()
+        dead[state] = lo
+        return False
+
+    found = search(0, 0, target)
+    del search  # the closure refers to itself; drop the cycle with its tables
+    if not found:
+        raise _no_tuple(path, k, target)
+    return SegmentPartition(path, k, tuple(chosen))
+
+
+def _no_tuple(path: LatticePath, k: int, target: int) -> InternalInvariantError:
+    return InternalInvariantError(
+        "no breakpoint tuple reaches half the displacement",
+        {"n": path.n, "steps": path.steps, "k": k, "target_doubled": path.vector(target)},
+    )
+
+
+def _point_index(keys: tuple[int, ...]) -> dict[int, int]:
+    """Each point mapped to the largest parameter at which the path takes it."""
+    # later parameters overwrite earlier ones
+    return dict(zip(keys, range(len(keys))))
+
+
+def _last(keys: tuple[int, ...], at: dict[int, int], lo: int, rem: int) -> tuple[int, int] | None:
+    """The earliest (t, s) with lo <= t <= s and keys[s] - keys[t] == rem, or None."""
+    get = at.get
+    for t, key in enumerate(keys[lo:], lo):
+        if get(key + rem, -1) >= t:
+            return t, keys.index(key + rem, t)
+    return None
+
+
+def _pair_table(keys: tuple[int, ...]) -> dict[int, int]:
+    """Each difference keys[s] - keys[t] with t <= s, mapped to its largest t."""
+    latest: dict[int, int] = {}
+    # ascending t, so the largest t of each difference is written last
+    for t, key in enumerate(keys):
+        latest.update(zip(map(sub, keys[t:], repeat(key)), repeat(t)))
+    return latest
