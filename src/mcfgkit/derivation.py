@@ -34,6 +34,7 @@ from .grammar import (
     GrammarFormatError,
     Word,
     _decode_json,
+    _json_block,
     instantiate,
     require_valid,
 )
@@ -206,16 +207,6 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 raise DerivationError(i, "template-mismatch",
                                       "conclusion does not equal the regrouped premise components")
     return steps[-1].instance()
-
-
-def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
-    """Encoded list items, or object members, laid out as json.dumps(indent=2) does.
-
-    Each item goes on its own line at pad; the closing bracket sits two
-    spaces to the left, and an empty block stays on one line.
-    """
-    body = (",\n" + pad).join(items)
-    return f"{brackets[0]}\n{pad}{body}\n{pad[2:]}{brackets[1]}" if body else brackets
 
 
 class _Rendered(dict):

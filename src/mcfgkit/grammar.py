@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 Word = tuple[str, ...]
 TemplateItem = tuple[str, str]  # ("term", symbol) or ("var", name)
@@ -287,9 +287,32 @@ def grammar_from_json_dict(data: object) -> Grammar:
     return Grammar(tuple(terminals), tuple(decls), start, tuple(rules), tuple(schemas))
 
 
+def _json_block(items: Iterable[str], pad: str, brackets: str = "[]") -> str:
+    """Encoded list items, or object members, laid out as json.dumps(indent=2) does.
+
+    Each item goes on its own line at pad; the closing bracket sits two
+    spaces to the left, and an empty block stays on one line.
+    """
+    body = (",\n" + pad).join(items)
+    return f"{brackets[0]}\n{pad}{body}\n{pad[2:]}{brackets[1]}" if body else brackets
+
+
 def canonical_json(data: object) -> str:
-    """Deterministic serialization used for every JSON artifact this package writes."""
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Deterministic serialization used for every JSON artifact this package writes.
+
+    The text of json.dumps(data, indent=2, sort_keys=True) and a newline, for str
+    keys, without the reference cycle the stdlib's indenting encoder leaves per call.
+    """
+    return _json_value(data, "  ") + "\n"
+
+
+def _json_value(data: object, pad: str) -> str:
+    if isinstance(data, dict):
+        items = (f"{json.dumps(key)}: {_json_value(data[key], pad + '  ')}" for key in sorted(data))
+        return _json_block(items, pad, "{}")
+    if isinstance(data, (list, tuple)):
+        return _json_block((_json_value(item, pad + "  ") for item in data), pad)
+    return json.dumps(data)
 
 
 def dumps_grammar(g: Grammar) -> str:

@@ -390,6 +390,21 @@ def test_xcheck_reports_invariant_failures_per_word(monkeypatch, capsys):
     assert "cross-check failed" in err
 
 
+def test_xcheck_reports_checker_refusals_per_word(monkeypatch, capsys):
+    # a synthesizer that answers a member with another word's derivation: the
+    # checker accepts every step, but the conclusion is not the word
+    monkeypatch.setattr(
+        "mcfgkit.cli.synthesize_word",
+        lambda w, n: synthesize_word(("A1", "a1") if w == ("a1", "A1") else w, n),
+    )
+    code, out, err = run_out(capsys, ["xcheck", "--n", "1", "--max-len", "2", "--json"])
+    assert code == 2
+    assert json.loads(out)["mismatches"] == [
+        {"checker": "step 3: final-mismatch: conclusion differs from the word", "word": ["a1", "A1"]}
+    ]
+    assert "cross-check failed" in err
+
+
 def failing_synthesis(w, n):
     raise InternalInvariantError("no breakpoints", {"word": list(w)})
 

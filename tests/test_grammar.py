@@ -129,6 +129,8 @@ def test_validate_flags_unknown_template_symbols():
     assert has_violation(g, "unknown terminal 'a'")
     g = Grammar((), (("S", 1),), "S", (Rule("S", ((var("x"),),)),))
     assert has_violation(g, "unknown variable 'x'")
+    g = Grammar((), (("S", 1),), "S", (Rule("S", ((("frob", "a"),),)),))
+    assert has_violation(g, "rule 0: bad template item kind 'frob'")
 
 
 def test_validate_flags_variable_used_twice():
@@ -263,4 +265,22 @@ def test_unknown_grammar_keys_name_the_place_and_key(edit, message):
     edit(data)
     with pytest.raises(GrammarFormatError) as info:
         grammar_from_json_dict(data)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("a", "rule 1: template must be a list"),
+        (["a"], "rule 1: template item must be a single-key object"),
+        ([{"term": "a1", "var": "x"}], "rule 1: template item must be a single-key object"),
+        ([{"frob": "a1"}], "rule 1: template item must be {'term': sym} or {'var': name}"),
+    ],
+    ids=["not-a-list", "not-an-object", "two-keys", "bad-kind"],
+)
+def test_malformed_templates_name_the_rule(template, message):
+    data = grammar_to_json_dict(make_grammar(1))
+    data["rules"][1]["lhs"]["templates"][0] = template
+    with pytest.raises(GrammarFormatError) as info:
+        loads_grammar(canonical_json(data))
     assert str(info.value) == message

@@ -45,6 +45,7 @@ from wordgen import (
     reference_lift,
     reference_refine,
     reference_split,
+    reference_yz,
     shuffled_pairs,
     step_at,
     walk_and_return,
@@ -704,6 +705,18 @@ def test_make_yz_reports_a_changed_balance_sum(n):
     assert str(info.value).startswith("repair moves changed the balance sum")
     assert info.value.payload == {"sum": as_refined(split).condition_sum()}
     assert any(info.value.payload["sum"])
+
+
+def test_make_yz_refuses_an_unlifted_split():
+    """A split that skipped the lift still has an odd boundary, which names no
+    token span of the word: make_yz refuses it as the reference does."""
+    split = refine_and_split(*traced((("a1",), (), (), (), (), ("A1",)), 1), 1)
+    with pytest.raises(ValueError) as info:
+        make_yz(split)
+    assert str(info.value) == "part 1 spans odd parameters (0, 1)"
+    with pytest.raises(ValueError) as reference:
+        reference_yz(as_refined(split))
+    assert str(reference.value) == str(info.value)
 
 
 def test_make_yz_reports_an_over_full_side():
