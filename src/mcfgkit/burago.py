@@ -137,6 +137,12 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
     answer is (0, 0) repeated k - K times before the K-interval answer:
     a (k-1)-interval solution exists, so the empty interval is the least
     feasible first pair.
+
+    Every answer is some leading (0, 0) pairs, then strictly increasing
+    breakpoints. Past those pairs, two touching intervals could merge, or
+    an empty one could go, giving a solution with one interval fewer;
+    with (0, 0) in front, that one would be lexicographically smaller.
+    The lattice lift relies on this shape.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

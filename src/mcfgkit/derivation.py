@@ -187,22 +187,28 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 raise DerivationError(i, "blocking-malformed", "schema step carries no blocking")
             if step.subst:
                 raise DerivationError(i, "template-mismatch", "schema step carries a substitution")
-            if (step.blocking, m) not in valid_blockings:
-                problems = step.blocking.violations(m)
-                if problems:
-                    raise DerivationError(i, "blocking-malformed", "; ".join(problems))
-                valid_blockings.add((step.blocking, m))
-            if len(step.premises) != 2:
-                raise DerivationError(i, "premise-not-derived",
-                                      f"schema step needs 2 premises, got {len(step.premises)}")
-            sources: list[tuple[Word, ...]] = []
-            for p in step.premises:
-                premise = steps[p]
-                if premise.conclusion_nt != step.schema or len(premise.conclusion) != m:
+            try:
+                # the premises are earlier steps, which passed with tuple conclusions, so
+                # a TypeError here is the blocking's: a slot 1.0 equals 1 and passes the
+                # violations test, but cannot index a source
+                if (step.blocking, m) not in valid_blockings:
+                    problems = step.blocking.violations(m)
+                    if problems:
+                        raise DerivationError(i, "blocking-malformed", "; ".join(problems))
+                    valid_blockings.add((step.blocking, m))
+                if len(step.premises) != 2:
                     raise DerivationError(i, "premise-not-derived",
-                                          f"premise {p} is not an arity-{m} {step.schema} instance")
-                sources.append(premise.conclusion)
-            comps = apply_blocking(step.blocking, sources[0], sources[1])
+                                          f"schema step needs 2 premises, got {len(step.premises)}")
+                sources: list[tuple[Word, ...]] = []
+                for p in step.premises:
+                    premise = steps[p]
+                    if premise.conclusion_nt != step.schema or len(premise.conclusion) != m:
+                        raise DerivationError(
+                            i, "premise-not-derived", f"premise {p} is not an arity-{m} {step.schema} instance")
+                    sources.append(premise.conclusion)
+                comps = apply_blocking(step.blocking, sources[0], sources[1])
+            except TypeError:
+                raise DerivationError(i, "blocking-malformed", "blocks must be tuples of integer slots") from None
             if step.conclusion_nt != step.schema or step.conclusion != comps:
                 raise DerivationError(i, "template-mismatch",
                                       "conclusion does not equal the regrouped premise components")
@@ -235,13 +241,16 @@ def dumps_derivation(d: Derivation) -> str:
     repeat across steps; each distinct value is rendered once per call.
 
     Raises ValueError, naming the first step the format cannot hold: one
-    with a premise index or a rule index that is not an int, a rule index
-    with a schema or a blocking, a schema without a blocking, or neither a
-    rule index nor a schema.
+    with a premise index, a rule index or a blocking slot that is not an
+    int, a rule index with a schema or a blocking, a schema without a
+    blocking, or neither a rule index nor a schema. Slots are written by
+    int.__repr__, so True as 1, the value that loads back; a blocking
+    equal to one already written, as (1.0,) equals (1,), is written as
+    that one was.
     """
     q = _Rendered(encode_basestring_ascii).__getitem__
     component = _Rendered(lambda w: _json_block(map(q, w), " " * 12)).__getitem__
-    row = _Rendered(lambda b: _json_block(map(str, b), " " * 12)).__getitem__
+    row = _Rendered(lambda b: _json_block(map(int.__repr__, b), " " * 12)).__getitem__
     binding = _Rendered(lambda vw: f"{q(vw[0])}: {_json_block(map(q, vw[1]), ' ' * 10)}").__getitem__
     nt_line = _Rendered(lambda nt: f',\n        "nt": {q(nt)}\n      }},\n      "premises": ').__getitem__
     rule_line = _Rendered(lambda key: _rule_line(*key, row, q)).__getitem__
@@ -305,7 +314,11 @@ def _rule_line(rule_index: int | None, blocking: Blocking | None, schema: str | 
         raise _Unwritable("a step must carry a rule index or a schema")
     if blocking is None:
         raise _Unwritable("a schema step must carry a blocking")
-    return (f',\n      "rule": {{\n        "blocking": {_json_block(map(row, blocking.blocks), " " * 10)},\n'
+    try:
+        rows = _json_block(map(row, blocking.blocks), " " * 10)
+    except TypeError:  # from int.__repr__, which writes True as 1 and refuses 1.0
+        raise _Unwritable(f"blocking {blocking.blocks!r} is not a list of integer lists") from None
+    return (f',\n      "rule": {{\n        "blocking": {rows},\n'
             f'        "schema": {q(schema)}\n      }},\n      "subst": ')
 
 

@@ -180,11 +180,14 @@ def lift_to_lattice(split: Split) -> Split:
     Every move turns odd parameters even and never moves component cuts,
     so the refinement property survives. A full scan with no legal move
     would contradict the parity of crossing endpoints and raises
-    InternalInvariantError. A move is legal when each moved boundary stays
-    between its neighbours and the member-side extent `inside` stays in
-    [1, total - 1]; as the bounds are sorted between moves, that equals a
-    check of every part. The halves' bounds lists are edited and the same
-    split is returned; with no odd boundary nothing is built.
+    InternalInvariantError. The first legal move in trial order is made:
+    one that keeps the member-side extent `inside` in [1, total - 1].
+    The split is one as refine_and_split returns it: its breakpoints are
+    leading (0, 0) pairs, then strictly increasing (burago_partition), and
+    the cuts are even, so each odd boundary lies strictly between its
+    neighbours, two odd ones lie at least 2 apart, and no move of 1 can
+    put a bounds list out of order. The halves' bounds lists are edited
+    and the same split is returned; with no odd boundary nothing is built.
     """
     path, x, left, right = split
     steps = path.steps
@@ -207,10 +210,9 @@ def lift_to_lattice(split: Split) -> Split:
                   for lo, hi, f in zip(b, b[1:], member) if f])
     while odd:
         for moves, grow in _trial_moves(odd):
-            if 1 <= inside + grow <= total - 1 and _apply_if_sorted(bounds, moves):
+            if 1 <= inside + grow <= total - 1:
                 break
         else:
-            m = len(x)
             raise InternalInvariantError(
                 "no mid-lattice endpoint can move",
                 {
@@ -218,15 +220,15 @@ def lift_to_lattice(split: Split) -> Split:
                     "right_boundaries": tuple(bounds[1]),
                     "left_members": [p for p, f in enumerate(left[1]) if f],
                     "right_members": [p for p, f in enumerate(right[1]) if f],
-                    "left_steps": path.sub_path(x[: m // 2]).steps,
-                    "right_steps": path.sub_path(x[m // 2 :]).steps,
+                    "left_steps": path.sub_path(x[: len(x) // 2]).steps,
+                    "right_steps": path.sub_path(x[len(x) // 2 :]).steps,
                 },
             )
+        for h, i, delta in moves:
+            bounds[h][i] += delta
         inside += grow
-        # a move makes its boundaries even and leaves the others as they were,
-        # so the odd ones left are the same as before it, minus the moved ones
-        done = {(h, i) for h, i, _ in moves}
-        odd = [o for o in odd if o[:2] not in done]
+        # a move makes its boundaries even and leaves the others as they were
+        odd = [o for o in odd if bounds[o[0]][o[1]] % 2]
     return split
 
 
@@ -242,17 +244,6 @@ def _trial_moves(odd: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[tu
                 for delta in (-1, 1):
                     delta2 = -delta * effect * effect2
                     yield ((h, i, delta), (h2, j, delta2)), delta * side + delta2 * side2
-
-
-def _apply_if_sorted(bounds: list[list[int]], moves: tuple[tuple[int, int, int], ...]) -> bool:
-    """Make the moves if every moved boundary stays between its neighbours, read after them."""
-    for h, i, delta in moves:
-        bounds[h][i] += delta
-    if all(bounds[h][i - 1] <= bounds[h][i] <= bounds[h][i + 1] for h, i, _ in moves):
-        return True
-    for h, i, delta in moves:
-        bounds[h][i] -= delta
-    return False
 
 
 def make_yz(split: Split) -> tuple[tuple[Span, ...], tuple[Span, ...], Blocking]:

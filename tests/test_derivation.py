@@ -431,6 +431,37 @@ def test_a_premise_index_that_is_not_an_int_is_refused(abcd_grammar, premise):
         assert type(info.value) is ValueError and str(info.value) == f"step {at}: {defect}"
 
 
+@pytest.mark.parametrize("slot", [1.0, "1", None], ids=["float", "str", "none"])
+def test_a_blocking_slot_that_is_not_an_int_is_refused(slot):
+    good = combine_steps()
+    blocks = good[2].blocking.blocks
+    bad = replace(good[2], blocking=Blocking(((slot, 7),) + blocks[1:]))
+    # 1.0 == 1 passes the violations test but cannot index a source; the step is
+    # refused as the blocking's first use and after the equal int blocking passed
+    for steps, at in ((good[:2] + (bad,), 2), (good + (bad,), 3)):
+        with pytest.raises(DerivationError) as info:
+            check_derivation(make_grammar(1), Derivation(steps))
+        assert (info.value.step, info.value.code) == (at, "blocking-malformed")
+        assert info.value.detail == "blocks must be tuples of integer slots"
+    # the writer refuses it too, rather than write text that the loader refuses
+    with pytest.raises(ValueError) as info:
+        dumps_derivation(Derivation(good[:2] + (bad,)))
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"step 2: blocking {bad.blocking.blocks!r} is not a list of integer lists"
+
+
+def test_a_blocking_slot_true_is_written_as_one():
+    # the checker reads a slot True as slot 1, and the writer writes it as the 1
+    # that loads back, not as text that the loader refuses
+    good = combine_steps()
+    blocks = good[2].blocking.blocks
+    steps = good[:2] + (replace(good[2], blocking=Blocking(((True, 7),) + blocks[1:])),)
+    check_derivation(make_grammar(1), Derivation(steps))
+    text = dumps_derivation(Derivation(steps))
+    assert text == dumps_derivation(Derivation(good))
+    assert loads_derivation(text) == Derivation(good)
+
+
 def test_loads_derivation_rejects_invalid_json():
     with pytest.raises(GrammarFormatError):
         loads_derivation("{")
