@@ -11,7 +11,7 @@ subcommands.
 
 from __future__ import annotations
 
-from .burago import InternalInvariantError, SegmentPartition, burago_partition
+from .burago import InternalInvariantError, burago_partition
 from .derivation import (
     Derivation,
     DerivationError,
@@ -80,7 +80,6 @@ __all__ = [
     "Rule",
     "RuleInstance",
     "SchemaPresentError",
-    "SegmentPartition",
     "Vec",
     "Word",
     "alphabet",

@@ -30,11 +30,10 @@ compare exactly for the vectors the search builds. See burago_partition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import sub
 
-from .zn import LatticePath, Vec, l1
+from .zn import LatticePath, l1
 
 
 class InternalInvariantError(RuntimeError):
@@ -45,44 +44,8 @@ class InternalInvariantError(RuntimeError):
         self.payload = payload
 
 
-@dataclass(frozen=True)
-class SegmentPartition:
-    """Breakpoints (t1, s1, ..., tk, sk) on the doubled parameter grid."""
-
-    path: LatticePath
-    k: int
-    breakpoints: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.breakpoints) != 2 * self.k:
-            raise ValueError(
-                f"expected {2 * self.k} breakpoints, got {len(self.breakpoints)}"
-            )
-        if sorted(self.breakpoints) != list(self.breakpoints):
-            raise ValueError(f"breakpoints not ordered: {self.breakpoints}")
-        end = 2 * len(self.path)
-        if self.breakpoints and not 0 <= self.breakpoints[0] <= self.breakpoints[-1] <= end:
-            raise ValueError(f"breakpoints outside 0..{end}: {self.breakpoints}")
-
-    def _key_sum(self) -> int:
-        # ordered breakpoints: each coordinate of the sum lies in [-2L, 2L]
-        keys, bp = self.path.keys, self.breakpoints
-        return sum(keys[s] - keys[t] for t, s in zip(bp[::2], bp[1::2]))
-
-    def sum_of_differences(self) -> Vec:
-        """Sum of the doubled interval differences P(s_i) - P(t_i)."""
-        return self.path.vector(self._key_sum())
-
-    def satisfies_identity(self) -> bool:
-        """2 * sum of interval differences equals the path's displacement, exactly."""
-        return 2 * self._key_sum() == self.path.keys[-1]
-
-    def to_json_dict(self) -> dict:
-        return {"breakpoints": list(self.breakpoints), "doubled": True}
-
-
-def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
-    """Lexicographically smallest breakpoint tuple hitting half the displacement.
+def burago_partition(path: LatticePath, k: int) -> tuple[int, ...]:
+    """Lex-min breakpoints (t1, s1, ..., tk, sk), doubled, hitting half the displacement.
 
     An exhaustive search in increasing lexicographic order, so the first
     hit is the lexicographic minimum; at k >= 2 the search returns the
@@ -212,7 +175,7 @@ def burago_partition(path: LatticePath, k: int) -> SegmentPartition:
             "no breakpoint tuple reaches half the displacement",
             {"n": path.n, "steps": path.steps, "k": k, "target_doubled": path.vector(target)},
         )
-    return SegmentPartition(path, k, (0, 0) * pad + found)
+    return (0, 0) * pad + found
 
 
 def row_zero(keys: tuple[int, ...], spans: tuple[tuple[int, int], ...], target: int) -> int | None:

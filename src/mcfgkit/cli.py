@@ -185,11 +185,13 @@ def _cmd_burago(args: argparse.Namespace) -> int:
     word = _tokenize(args.word, alphabet(args.n))
     path = word_to_path(word, args.n)
     k = args.k if args.k is not None else grammar_params(args.n).k
-    partition = burago_partition(path, k)
-    return _report(args, 0, partition.to_json_dict(), "\n".join([
-        f"breakpoints (doubled parameters): {list(partition.breakpoints)}",
-        f"interval sum (doubled): {partition.sum_of_differences()}",
-        f"identity holds: {partition.satisfies_identity()}",
+    bp = burago_partition(path, k)
+    # ordered breakpoints: each coordinate of the sum lies in [-2L, 2L]
+    total = sum(path.keys[s] - path.keys[t] for t, s in zip(bp[::2], bp[1::2]))
+    return _report(args, 0, {"breakpoints": list(bp), "doubled": True}, "\n".join([
+        f"breakpoints (doubled parameters): {list(bp)}",
+        f"interval sum (doubled): {path.vector(total)}",
+        f"identity holds: {2 * total == path.keys[-1]}",
     ]))
 
 

@@ -180,17 +180,17 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 raise DerivationError(i, "template-mismatch",
                                       "conclusion does not equal the instantiated templates")
         else:
-            if step.schema not in schema_arity:
-                raise DerivationError(i, "unknown-rule", f"no schema for nonterminal {step.schema!r}")
-            m = schema_arity[step.schema]
+            try:
+                m = schema_arity[step.schema]
+            except (KeyError, TypeError):  # TypeError: an unhashable schema, such as a list
+                raise DerivationError(i, "unknown-rule", f"no schema for nonterminal {step.schema!r}") from None
             if step.blocking is None:
                 raise DerivationError(i, "blocking-malformed", "schema step carries no blocking")
             if step.subst:
                 raise DerivationError(i, "template-mismatch", "schema step carries a substitution")
             try:
-                # the premises are earlier steps, which passed with tuple conclusions, so
-                # a TypeError here is the blocking's: a slot 1.0 equals 1 and passes the
-                # violations test, but cannot index a source
+                # earlier steps have tuple conclusions, so an error here is the blocking's: a list
+                # row, a plain tuple, or a slot 1.0, which passes violations but indexes nothing
                 if (step.blocking, m) not in valid_blockings:
                     problems = step.blocking.violations(m)
                     if problems:
@@ -207,7 +207,7 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                             i, "premise-not-derived", f"premise {p} is not an arity-{m} {step.schema} instance")
                     sources.append(premise.conclusion)
                 comps = apply_blocking(step.blocking, sources[0], sources[1])
-            except TypeError:
+            except (TypeError, AttributeError):
                 raise DerivationError(i, "blocking-malformed", "blocks must be tuples of integer slots") from None
             if step.conclusion_nt != step.schema or step.conclusion != comps:
                 raise DerivationError(i, "template-mismatch",
@@ -240,10 +240,11 @@ def dumps_derivation(d: Derivation) -> str:
     token lists, blocking rows, substitution entries, nt lines and rules
     repeat across steps; each distinct value is rendered once per call.
 
-    Raises ValueError, naming the first step the format cannot hold: one
-    with a premise index, a rule index or a blocking slot that is not an
-    int, a rule index with a schema or a blocking, a schema without a
-    blocking, or neither a rule index nor a schema. Slots are written by
+    Raises ValueError, naming the first step the format cannot hold: a
+    premise index, rule index or blocking slot not an int, a blocking
+    holding a list or not a Blocking, a schema not a str, a subst not
+    (name, token tuple) pairs, a rule index with a schema or a blocking,
+    a schema without a blocking, or neither. Slots are written by
     int.__repr__, so True as 1, the value that loads back; a blocking
     equal to one already written, as (1.0,) equals (1,), is written as
     that one was.
@@ -283,10 +284,16 @@ def dumps_derivation(d: Derivation) -> str:
             # tested before the lookup: True and 1.0 would find the text rendered for 1
             if rule_index is not None and type(rule_index) is not int:
                 raise _Unwritable(f"rule index {rule_index!r} is not an integer")
-            append(rule_line((rule_index, step.blocking, step.schema)))
+            try:
+                append(rule_line((rule_index, step.blocking, step.schema)))
+            except TypeError:  # an unhashable blocking or schema: rendered uncached, or refused
+                append(_rule_line(rule_index, step.blocking, step.schema, row, q))
             if subst:
                 append("{\n        ")
-                append(",\n        ".join(map(binding, sorted(dict(subst).items()))))
+                try:
+                    append(",\n        ".join(map(binding, sorted(dict(subst).items()))))
+                except TypeError:  # an unhashable list of tokens, or a token that is not a str
+                    raise _Unwritable(f"subst {subst!r} is not (name, token tuple) pairs") from None
                 append("\n      }\n    }")
             else:
                 append("{}\n    }")
@@ -314,10 +321,14 @@ def _rule_line(rule_index: int | None, blocking: Blocking | None, schema: str | 
         raise _Unwritable("a step must carry a rule index or a schema")
     if blocking is None:
         raise _Unwritable("a schema step must carry a blocking")
+    if type(schema) is not str:
+        raise _Unwritable(f"schema {schema!r} is not a string")
     try:
         rows = _json_block(map(row, blocking.blocks), " " * 10)
-    except TypeError:  # from int.__repr__, which writes True as 1 and refuses 1.0
+    except TypeError:  # from int.__repr__, which writes True as 1 and refuses 1.0, or a list row
         raise _Unwritable(f"blocking {blocking.blocks!r} is not a list of integer lists") from None
+    except AttributeError:
+        raise _Unwritable(f"blocking {blocking!r} is not a Blocking") from None
     return (f',\n      "rule": {{\n        "blocking": {rows},\n'
             f'        "schema": {q(schema)}\n      }},\n      "subst": ')
 

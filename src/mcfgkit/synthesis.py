@@ -111,7 +111,7 @@ def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int, target: int,
     is odd), so the comparison never ties.
     """
     s1 = row_zero(path.keys, spans, target) if k == 1 else None
-    breakpoints = burago_partition(path.sub_path(spans), k).breakpoints if s1 is None else (0, s1)
+    breakpoints = burago_partition(path.sub_path(spans), k) if s1 is None else (0, s1)
     # one merge of the component ends with the sorted breakpoints: a breakpoint
     # goes before the first cut past it, so at equal parameters the cut comes
     # first, and every breakpoint goes before the end
@@ -181,7 +181,11 @@ def lift_to_lattice(split: Split) -> Split:
     so the refinement property survives. A full scan with no legal move
     would contradict the parity of crossing endpoints and raises
     InternalInvariantError. The first legal move in trial order is made:
-    one that keeps the member-side extent `inside` in [1, total - 1].
+    one that keeps the member-side extent `inside` in (0, total). That is
+    the same test as [2, total - 2]: every odd boundary is a breakpoint, so
+    it borders exactly one member part, and each axis has an even number of
+    them, as the balance sum is even; so inside is even, total is even, and
+    a move, two boundaries by 1 each, changes inside by -2, 0 or 2.
     The split is one as refine_and_split returns it: its breakpoints are
     leading (0, 0) pairs, then strictly increasing (burago_partition), and
     the cuts are even, so each odd boundary lies strictly between its
@@ -210,7 +214,7 @@ def lift_to_lattice(split: Split) -> Split:
                   for lo, hi, f in zip(b, b[1:], member) if f])
     while odd:
         for moves, grow in _trial_moves(odd):
-            if 1 <= inside + grow <= total - 1:
+            if 0 < inside + grow < total:
                 break
         else:
             raise InternalInvariantError(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from bisect import bisect_left
 from itertools import repeat
@@ -13,80 +14,78 @@ from hypothesis import strategies as st
 import mcfgkit.burago as burago_module
 from mcfgkit import (
     InternalInvariantError,
-    SegmentPartition,
     burago_partition,
     grammar_params,
     l1,
     make_token,
     word_to_path,
 )
+from mcfgkit.cli import run
 
 from wordgen import (
     block_word,
+    interval_sum,
     lex_min_reference,
     points,
     random_word,
     reference_partition,
+    relabel_axes,
+    search_symmetry,
     shuffled_pairs,
     walk_and_return,
 )
 
 
+def doubled_sum(path, bp):
+    """The doubled interval sum, walked from the steps, and whether twice it
+    is the path's doubled displacement."""
+    pts = points(path)
+    half = interval_sum(pts, bp)
+    return half, tuple(2 * c for c in half) == pts[-1]
+
+
 def test_frozen_examples():
-    assert burago_partition(word_to_path(("a1", "a1"), 1), 1).breakpoints == (0, 2)
-    assert burago_partition(
-        word_to_path(("a1", "a2", "A1", "A2"), 2), 1
-    ).breakpoints == (0, 0)
-    assert burago_partition(
-        word_to_path(("a1", "a1", "a2", "A1", "A1"), 2), 1
-    ).breakpoints == (4, 5)
+    assert burago_partition(word_to_path(("a1", "a1"), 1), 1) == (0, 2)
+    assert burago_partition(word_to_path(("a1", "a2", "A1", "A2"), 2), 1) == (0, 0)
+    assert burago_partition(word_to_path(("a1", "a1", "a2", "A1", "A1"), 2), 1) == (4, 5)
 
 
 def test_breakpoints_are_lexicographically_minimal():
     # any later s would also work here, so the search must stop at s = 2
-    part = burago_partition(word_to_path(("a1", "A1", "a1", "a1"), 1), 1)
-    assert part.breakpoints == (0, 2)
+    assert burago_partition(word_to_path(("a1", "A1", "a1", "a1"), 1), 1) == (0, 2)
 
 
 def test_partition_identity_and_shape():
     path = word_to_path(("a1", "a1", "a2", "A1", "A1"), 2)
-    part = burago_partition(path, 1)
-    assert part.k == 1
-    assert part.breakpoints == (4, 5)
-    assert part.sum_of_differences() == (0, 1)
-    assert part.satisfies_identity()
+    bp = burago_partition(path, 1)
+    assert len(bp) == 2
+    assert bp == (4, 5)
+    assert doubled_sum(path, bp) == ((0, 1), True)
     assert path.vector(path.keys[-1]) == (0, 2)
 
 
-def test_json_shape():
-    part = burago_partition(word_to_path(("a1", "a1"), 1), 1)
-    assert part.to_json_dict() == {"breakpoints": [0, 2], "doubled": True}
+def test_json_shape(capsys):
+    assert run(["burago", "--n", "1", "--word", "a1 a1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"breakpoints": [0, 2], "doubled": True}
 
 
 def test_partition_validation():
-    path = word_to_path(("a1", "a1"), 1)
     with pytest.raises(ValueError):
-        SegmentPartition(path, 1, (0, 1, 2))  # wrong count
-    with pytest.raises(ValueError):
-        SegmentPartition(path, 1, (2, 0))  # out of order
-    with pytest.raises(ValueError):
-        SegmentPartition(path, 1, (-1, 2))  # before the path's start
-    with pytest.raises(ValueError):
-        SegmentPartition(path, 1, (0, 2 * len(path) + 1))  # past the path's end
-    with pytest.raises(ValueError):
-        burago_partition(path, 0)
+        burago_partition(word_to_path(("a1", "a1"), 1), 0)
 
 
 def test_extra_intervals_are_allowed():
-    part = burago_partition(word_to_path(("a1", "a1"), 1), 2)
-    assert len(part.breakpoints) == 4
-    assert part.satisfies_identity()
+    path = word_to_path(("a1", "a1"), 1)
+    bp = burago_partition(path, 2)
+    assert len(bp) == 4
+    assert doubled_sum(path, bp)[1]
 
 
 def test_empty_path():
-    part = burago_partition(word_to_path((), 1), 1)
-    assert part.breakpoints == (0, 0)
-    assert part.satisfies_identity()
+    path = word_to_path((), 1)
+    bp = burago_partition(path, 1)
+    assert bp == (0, 0)
+    assert doubled_sum(path, bp)[1]
 
 
 def test_three_axis_diagonal_needs_two_intervals():
@@ -94,9 +93,9 @@ def test_three_axis_diagonal_needs_two_intervals():
     with pytest.raises(InternalInvariantError) as info:
         burago_partition(path, 1)
     assert info.value.payload["k"] == 1
-    part = burago_partition(path, 2)
-    assert part.breakpoints == (0, 1, 3, 5)
-    assert part.satisfies_identity()
+    bp = burago_partition(path, 2)
+    assert bp == (0, 1, 3, 5)
+    assert doubled_sum(path, bp)[1]
 
 
 @given(st.integers(1, 4), st.integers(0, 10 ** 9))
@@ -105,21 +104,18 @@ def test_identity_on_random_paths(n, seed):
     word = random_word(rng, n, 16)
     path = word_to_path(word, n)
     k = grammar_params(n).k
-    part = burago_partition(path, k)
-    assert len(part.breakpoints) == 2 * k
-    assert all(0 <= b <= 2 * len(path) for b in part.breakpoints)
-    assert all(
-        a <= b for a, b in zip(part.breakpoints, part.breakpoints[1:])
-    )
-    assert part.satisfies_identity()
-    assert tuple(2 * c for c in part.sum_of_differences()) == points(path)[-1]
+    bp = burago_partition(path, k)
+    assert len(bp) == 2 * k
+    assert all(0 <= b <= 2 * len(path) for b in bp)
+    assert all(a <= b for a, b in zip(bp, bp[1:]))
+    assert doubled_sum(path, bp)[1]
 
 
 def test_breakpoints_match_brute_force_lex_min():
     # the last interval's difference (-2, 0, 1) is also taken from t = 0, before
     # s1 = 1; only a later pair with that difference may follow the first interval
     path = word_to_path(("a1", "A1", "a2", "A1", "A2", "a3"), 3)
-    assert burago_partition(path, 2).breakpoints == lex_min_reference(path, 2) == (0, 1, 4, 11)
+    assert burago_partition(path, 2) == lex_min_reference(path, 2) == (0, 1, 4, 11)
 
     rng = random.Random(2718)
     max_len = {1: 12, 2: 8, 3: 5, 4: 4}
@@ -135,7 +131,7 @@ def test_breakpoints_match_brute_force_lex_min():
                         burago_partition(path, k)
                     assert info.value.payload["k"] == k
                 else:
-                    assert burago_partition(path, k).breakpoints == expected, path.steps
+                    assert burago_partition(path, k) == expected, path.steps
     assert failures  # the failure path is exercised, not only the hits
 
 
@@ -168,7 +164,7 @@ def test_one_interval_builds_the_point_index_once(monkeypatch):
         path = word_to_path(word, n)
         built.clear()
         expected = lex_min_reference(path, 1)
-        assert burago_partition(path, 1).breakpoints == expected, word
+        assert burago_partition(path, 1) == expected, word
         side = "row 0" if expected[0] == 0 else "later"
         assert built == [len(path.keys)], (side, word)
         sides[side] += 1
@@ -202,7 +198,7 @@ def test_breakpoints_on_straight_lines_at_base_boundaries(n):
             path = word_to_path(word, n)
             bases.add(path.base)
             assert [path.vector(key) for key in path.keys] == list(points(path))
-            assert burago_partition(path, k).breakpoints == lex_min_reference(path, k), word
+            assert burago_partition(path, k) == lex_min_reference(path, k), word
     assert len(bases) == 2
 
 
@@ -267,10 +263,7 @@ def first_table_candidate(path, answer):
 
 def relabelled_block_word(rng, n, length):
     """A block word with its axes permuted and some of them reversed."""
-    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
-    flip = {axis: rng.choice((1, -1)) for axis in relabel}
-    steps = word_to_path(block_word(n, max(1, length // (2 * n))), n).steps
-    return tuple(make_token(relabel[axis], flip[axis] * sign) for axis, sign in steps)
+    return relabel_axes(rng, n, block_word(n, max(1, length // (2 * n))))
 
 
 def test_scan_first_search_matches_eager_table(monkeypatch):
@@ -282,9 +275,6 @@ def test_scan_first_search_matches_eager_table(monkeypatch):
     def recording_table(keys):
         built.append(len(keys))
         return pair_table(keys)
-
-    def scan_first(path, k):
-        return burago_partition(path, k).breakpoints
 
     monkeypatch.setattr(burago_module, "_pair_table", recording_table)
     families = (shuffled_pairs, walk_and_return, relabelled_block_word, None)
@@ -311,7 +301,7 @@ def test_scan_first_search_matches_eager_table(monkeypatch):
         path = word_to_path(word, n)
         built.clear()
         expected = outcome(eager_k2_reference, path, k)
-        assert outcome(scan_first, path, k) == expected, (n, k, word)
+        assert outcome(burago_partition, path, k) == expected, (n, k, word)
         answer = expected if isinstance(expected, tuple) else None
         at = first_table_candidate(path, answer)
         assert bool(built) == (at is not None), (n, k, word)
@@ -351,8 +341,8 @@ def test_search_matches_the_reference_search():
             a, b = sorted(rng.sample(range(len(word) + 1), 2))
             word = word[a:b]
         path = word_to_path(word, n)
-        expected = outcome(lambda p, k: reference_partition(p, k).breakpoints, path, k)
-        assert outcome(lambda p, k: burago_partition(p, k).breakpoints, path, k) == expected, (n, k, word)
+        expected = outcome(reference_partition, path, k)
+        assert outcome(burago_partition, path, k) == expected, (n, k, word)
         if isinstance(expected, tuple):
             # leading (0, 0) pairs, then strictly increasing: the lattice lift relies on it
             rest = expected
@@ -364,3 +354,15 @@ def test_search_matches_the_reference_search():
             failed += 1
     assert failed >= 50, failed
     assert padded >= 500, padded
+
+
+def test_search_is_symmetric_under_signed_axis_permutations():
+    # the same tuple, or a failure on both sides; CI runs the same check at ranks 11-16
+    max_len = {1: 64, 2: 64, 3: 48, 4: 48, 5: 32, 6: 28, 7: 20, 8: 16, 9: 14, 10: 12}
+    rng = random.Random(4093)
+    failed = 0
+    for n, cap in max_len.items():
+        differ, fails = search_symmetry(rng, n, 200, cap)
+        assert not differ, (n, differ[:3])
+        failed += fails
+    assert failed >= 10, failed  # the failure path is compared too, not only the hits

@@ -462,6 +462,47 @@ def test_a_blocking_slot_true_is_written_as_one():
     assert loads_derivation(text) == Derivation(good)
 
 
+def refused(steps, code, detail, unwritable):
+    """The checker answers the last step with code and detail, and the writer
+    refuses it with a plain ValueError naming it, not a bare TypeError."""
+    at = len(steps) - 1
+    with pytest.raises(DerivationError) as info:
+        check_derivation(make_grammar(1), Derivation(steps))
+    assert (info.value.step, info.value.code, info.value.detail) == (at, code, detail)
+    with pytest.raises(ValueError) as info:
+        dumps_derivation(Derivation(steps))
+    assert type(info.value) is ValueError and str(info.value) == f"step {at}: {unwritable}"
+
+
+@pytest.mark.parametrize("row", [[1, 7], ([1], 7)], ids=["row", "slot"])
+def test_a_list_in_a_blocking_is_refused(row):
+    good = combine_steps()
+    bad = replace(good[2], blocking=Blocking((row,) + good[2].blocking.blocks[1:]))
+    refused(good[:2] + (bad,), "blocking-malformed", "blocks must be tuples of integer slots",
+            f"blocking {bad.blocking.blocks!r} is not a list of integer lists")
+
+
+def test_a_schema_that_is_a_list_is_refused():
+    good = combine_steps()
+    refused(good[:2] + (replace(good[2], schema=["I"]),), "unknown-rule",
+            "no schema for nonterminal ['I']", "schema ['I'] is not a string")
+
+
+def test_a_plain_tuple_in_place_of_a_blocking_is_refused():
+    good = combine_steps()
+    blocks = good[2].blocking.blocks
+    refused(good[:2] + (replace(good[2], blocking=blocks),), "blocking-malformed",
+            "blocks must be tuples of integer slots", f"blocking {blocks!r} is not a Blocking")
+
+
+def test_a_subst_value_that_is_a_list_is_refused():
+    axis, final = synthesize_word(("a1", "A1"), 1).steps
+    subst = tuple((v, list(w)) for v, w in final.subst)
+    refused((axis, replace(final, subst=subst)), "premise-not-derived",
+            "premise 0 conclusion does not match I under the substitution",
+            f"subst {subst!r} is not (name, token tuple) pairs")
+
+
 def test_loads_derivation_rejects_invalid_json():
     with pytest.raises(GrammarFormatError):
         loads_derivation("{")

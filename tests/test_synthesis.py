@@ -421,7 +421,9 @@ def test_lift_matches_the_closure_reference(monkeypatch):
     minimal split that neither can repair, with the same message and payload.
     Every odd boundary of those splits lies between opposite sides, so the
     lift never meets a same-side one, and strictly between its neighbours,
-    so no move of one puts the bounds out of order."""
+    so no move of one puts the bounds out of order. The member-side extent
+    and the total are even, and every trial move changes the extent by -2,
+    0 or 2, so the lift's extent test (0, total) is the same as [2, total - 2]."""
     rng = random.Random(8081)
     words = []
     for n in range(1, 11):
@@ -438,13 +440,25 @@ def test_lift_matches_the_closure_reference(monkeypatch):
                   for s in refined)
     assert odd[True] >= 500 and odd[False] >= 80, odd
     assert {s.left.path.n for s in refined} == set(range(1, 11))
+    grows = []
+
+    def recording_moves(odd, trial_moves=mcfgkit.synthesis._trial_moves):
+        for moves, grow in trial_moves(odd):
+            grows.append(grow)
+            yield moves, grow
+
+    monkeypatch.setattr(mcfgkit.synthesis, "_trial_moves", recording_moves)
     for split, ref in zip(splits, refined):
+        inside = 0
         for half in (ref.left, ref.right):
             b, members = half.boundaries, half.members
             assert all(((i - 1) in members) != (i in members)
                        for i in range(1, len(b) - 1) if b[i] % 2), (b, members)
             assert all(b[i - 1] < b[i] < b[i + 1] for i in range(1, len(b) - 1) if b[i] % 2), b
+            inside += sum(b[p + 1] - b[p] for p in members)
+        assert inside % 2 == 0 and (ref.left.boundaries[-1] + ref.right.boundaries[-1]) % 2 == 0
         assert lift_outcome(lift_to_lattice, split) == lift_outcome(closure_lift, ref)
+    assert len(grows) >= 1000 and set(grows) <= {-2, 0, 2}, Counter(grows)
     # no boundary is odd: nothing moves
     unmoved = next(i for i, s in enumerate(refined)
                    if not any(b % 2 for b in s.left.boundaries + s.right.boundaries))
@@ -497,7 +511,7 @@ def test_split_stage_row_zero_matches_the_search(monkeypatch):
         for spans in (x[: len(x) // 2], x[len(x) // 2 :]):
             half = spans_path(path, spans)
             expected = lex_min_reference(half, 1)
-            assert burago_partition(half, 1).breakpoints == expected
+            assert burago_partition(half, 1) == expected
             target = sum(keys[2 * e] - keys[2 * s] for s, e in spans) // 2
             s1 = row_zero(keys, spans, target)
             assert s1 == (expected[1] if expected[0] == 0 else None), (path.steps, spans)

@@ -13,8 +13,8 @@ from typing import Iterator
 
 import hypothesis.strategies as st
 
-from mcfgkit import (Blocking, InternalInvariantError, LatticePath, SegmentPartition, Vec, Word,
-                     alphabet, l1, make_token)
+from mcfgkit import (Blocking, InternalInvariantError, LatticePath, Vec, Word, alphabet, l1,
+                     make_token, token_step, word_to_path)
 from mcfgkit.burago import burago_partition, row_zero
 
 
@@ -59,6 +59,43 @@ def block_word(n: int, r: int) -> Word:
     """a1^r ... an^r A1^r ... An^r."""
     return tuple(make_token(axis, sign) for sign in (1, -1)
                  for axis in range(1, n + 1) for _ in range(r))
+
+
+def relabel_axes(rng: random.Random, n: int, word: Word) -> Word:
+    """word with its axes permuted and some of them reversed, both drawn from rng."""
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    flip = {axis: rng.choice((1, -1)) for axis in relabel}
+    return tuple(make_token(relabel[axis], flip[axis] * sign) for axis, sign in map(token_step, word))
+
+
+def search_symmetry(rng: random.Random, n: int, cases: int, max_len: int) -> tuple[list, int]:
+    """burago_partition on words and on their relabel_axes images: the cases
+    whose answers differ, as (k, word, relabelled), and the count that failed.
+
+    The word problem is invariant under signed axis permutations, and the
+    search orders tuples by parameter alone, so each word and its image must
+    give the same tuple, or both fail. Words cycle through random words,
+    shuffled pairs and walk-and-return words up to max_len, and k through
+    K - 1, K and K + 1 (those >= 1, with K = floor((n+1)/2)).
+    """
+    big = (n + 1) // 2
+    ks = [k for k in (big - 1, big, big + 1) if k >= 1]
+    differ, failed = [], 0
+    for i in range(cases):
+        k = ks[i % len(ks)]
+        family = (random_word, shuffled_pairs, walk_and_return)[i // len(ks) % 3]
+        word = family(rng, n, max_len if family is random_word else rng.randrange(max_len + 1))
+        image = relabel_axes(rng, n, word)
+        answers = []
+        for w in (word, image):
+            try:
+                answers.append(burago_partition(word_to_path(w, n), k))
+            except InternalInvariantError:
+                answers.append(None)
+        if answers[0] != answers[1]:
+            differ.append((k, word, image))
+        failed += answers[0] is None
+    return differ, failed
 
 
 def zero_displacement_words(n: int, min_pairs: int = 0, max_pairs: int = 7):
@@ -191,7 +228,7 @@ def _reference_half(path: LatticePath, spans: tuple[Span, ...], k: int, target: 
                     prefer_large: bool) -> HalfSplit:
     """One half cut at its breakpoints and component cuts, with its member side."""
     s1 = row_zero(path.keys, spans, target) if k == 1 else None
-    breakpoints = burago_partition(path.sub_path(spans), k).breakpoints if s1 is None else (0, s1)
+    breakpoints = burago_partition(path.sub_path(spans), k) if s1 is None else (0, s1)
     ends = tuple(accumulate([2 * (e - s) for s, e in spans]))
     cuts = ends[:-1]
     boundaries = (0, *sorted(cuts + breakpoints), ends[-1])
@@ -328,7 +365,7 @@ def as_refined(split) -> RefinedSplit:
 
 # The breakpoint search as it stood with two exits and a shared `chosen` list:
 # the reference whose tuples and failure payloads burago_partition must repeat.
-def reference_partition(path: LatticePath, k: int) -> SegmentPartition:
+def reference_partition(path: LatticePath, k: int) -> tuple[int, ...]:
     """Lexicographically smallest breakpoint tuple hitting half the displacement."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -342,7 +379,7 @@ def reference_partition(path: LatticePath, k: int) -> SegmentPartition:
         hit = _last(keys, _point_index(keys), 0, target)
         if hit is None:
             raise _no_tuple(path, k, target)
-        return SegmentPartition(path, k, (0, 0) * pad + hit)
+        return (0, 0) * pad + hit
     at = _point_index(keys)
 
     # at k >= 3 the level that uses the pair table is entered again from many
@@ -412,7 +449,7 @@ def reference_partition(path: LatticePath, k: int) -> SegmentPartition:
     del search  # the closure refers to itself; drop the cycle with its tables
     if not found:
         raise _no_tuple(path, k, target)
-    return SegmentPartition(path, k, tuple(chosen))
+    return tuple(chosen)
 
 
 def _no_tuple(path: LatticePath, k: int, target: int) -> InternalInvariantError:
