@@ -15,17 +15,17 @@ The search is meet-in-the-middle (Horowitz & Sahni, JACM 1974): one point
 index, built for every k, answers the last interval with one O(L) scan.
 For k = 1 (n = 1, 2) that is the whole search, answered from row 0 on;
 the synthesis first scans row 0 of each half on the word's keys
-(row_zero) and searches only when that scan finds no answer. For k = 2
-(n = 3, 4) each candidate for the first interval is checked by an index
-scan until the scans have read a third as many rows as a latest-start
-table over all pairs has entries; only then is the table built, and it
-answers the remaining candidates with one lookup each. An early answer
-thus costs O(L) per candidate tried, and the worst case O(L^2), at most a
-third more than building the table up front. Each further interval
-(k >= 3, n = 5, 6) is an ordered, pruned and memoised loop over O(L^2)
-candidates on top of the table, which is built before that search
-starts. Points are the path's packed int keys (LatticePath.keys), which
-compare exactly for the vectors the search builds. See burago_partition.
+(row_zero) and searches only when that scan finds no answer. For k >= 2
+(n >= 3) each candidate for the second-to-last interval is checked by an
+index scan, until the scans have read a third as many rows as a
+latest-start table over all pairs has entries or the first row scanned
+ends; only then is the table built, once per search, and it answers every
+later candidate with one lookup. An early answer thus costs O(L) per
+candidate tried, and the worst case O(L^2), at most a third more than
+building the table up front. Each earlier interval (k >= 3, n >= 5) is an
+ordered, pruned and memoised loop over O(L^2) candidates on top of that.
+Points are the path's packed int keys (LatticePath.keys), which compare
+exactly for the vectors the search builds. See burago_partition.
 """
 
 from __future__ import annotations
@@ -64,18 +64,18 @@ def burago_partition(path: LatticePath, k: int) -> tuple[int, ...]:
       `latest` from each difference vector to the largest t of any pair
       t <= s with that difference answers the same predicate as
       latest[rest] >= s in one lookup, but has (end+1)(end+2)/2 entries
-      (end = 2L) to build. At k = 2 the search scans first and charges
-      each failed candidate the end + 1 - s rows its scan read. Once the
-      charge reaches a third of the table's entries, it builds `latest`
-      and answers the rest of the current row and every later row from
-      it. The scans never leave row 0, whose candidates before s = end
-      alone would charge all but one of the table's entries. So a search
-      whose answer comes early never pays for the table, and the worst
-      case reads fewer than a third of the table's entries plus end + 1
-      rows more than building the table up front. The predicate is the
-      same either way, so the answer does not depend on when the table
-      is built. At k >= 3 this level is entered again from many earlier
-      candidates, which share one table, built before the search starts.
+      (end = 2L) to build. So the search scans first and charges each
+      failed candidate the end + 1 - s rows its scan read. When the
+      charge reaches a third of the table's entries, or the first row it
+      scans ends, it builds `latest` and answers the rest of that row,
+      every later row and every later entry into this level from it. At
+      k = 2 that first row is row 0, whose candidates before s = end
+      alone would charge all but one of the table's entries, so the
+      charge runs out first. A search whose answer comes early never pays
+      for the table, and the worst case reads fewer than a third of the
+      table's entries plus end + 1 rows more than building the table up
+      front. The predicate is the same either way, so the answer does not
+      depend on when the table is built.
     - Earlier intervals (k >= 3): a depth-first loop over ordered (t, s),
       O(L^2) candidates per level on top of the above.
 
@@ -119,10 +119,7 @@ def burago_partition(path: LatticePath, k: int) -> tuple[int, ...]:
     if pairs == 1:
         found = _last(keys, at, 0, target)
     else:
-        # at k >= 3 the level that uses the pair table is entered again from many
-        # earlier candidates, so they share one; k = 2 builds it only if its scans
-        # have read a third as many rows as the table has entries
-        latest = _pair_table(keys) if pairs >= 3 else None
+        latest = None
         budget = (end + 1) * (end + 2) // 6
         dead: dict[tuple[int, int], int] = {}
 

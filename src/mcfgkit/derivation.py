@@ -139,11 +139,15 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
     # each (blocking, arity) that passed; equal blockings share an entry
     valid_blockings: set[tuple[Blocking, int]] = set()
     for i, step in enumerate(steps):
-        for p in step.premises:
-            # exact int, as for the rule index: True would stand for step 1
-            if type(p) is not int or not 0 <= p < i:
-                raise DerivationError(i, "premise-not-derived",
-                                      f"premise index {p!r} is not an earlier step")
+        try:
+            for p in step.premises:
+                # exact int, as for the rule index: True would stand for step 1
+                if type(p) is not int or not 0 <= p < i:
+                    raise DerivationError(i, "premise-not-derived",
+                                          f"premise index {p!r} is not an earlier step")
+        except TypeError:  # premises that do not iterate, such as None
+            raise DerivationError(i, "premise-not-derived",
+                                  f"premises {step.premises!r} are not step indices") from None
         rule_index = step.rule_index
         if (rule_index is None) == (step.schema is None):
             raise DerivationError(i, "unknown-rule",
@@ -159,7 +163,11 @@ def check_derivation(g: Grammar, d: Derivation) -> Instance:
                 raise DerivationError(i, "premise-not-derived",
                                       f"rule {rule_index} needs {len(rule.rhs)} premises, "
                                       f"got {len(step.premises)}")
-            subst = step.subst_dict
+            try:
+                subst = step.subst_dict
+            except (TypeError, ValueError):  # not pairs, such as 5
+                raise DerivationError(i, "template-mismatch",
+                                      f"substitution {step.subst!r} is not (name, word) pairs") from None
             for (nt, names), p in zip(rule.rhs, step.premises):
                 for v in names:
                     if v not in subst:
@@ -240,11 +248,13 @@ def dumps_derivation(d: Derivation) -> str:
     token lists, blocking rows, substitution entries, nt lines and rules
     repeat across steps; each distinct value is rendered once per call.
 
-    Raises ValueError, naming the first step the format cannot hold: a
-    premise index, rule index or blocking slot not an int, a blocking
-    holding a list or not a Blocking, a schema not a str, a subst not
-    (name, token tuple) pairs, a rule index with a schema or a blocking,
-    a schema without a blocking, or neither. Slots are written by
+    Raises ValueError, naming the first step the format cannot hold:
+    premises that do not iterate, a premise index, rule index or blocking
+    slot not an int, a conclusion not a tuple of token tuples (None would
+    load back as ()), an nt or a token not a str, a blocking holding a
+    list, not a Blocking or not hashable, a schema not a str, a subst not
+    (name, token tuple) pairs, a rule index with a schema or a blocking, a
+    schema without a blocking, or neither. Slots are written by
     int.__repr__, so True as 1, the value that loads back; a blocking
     equal to one already written, as (1.0,) equals (1,), is written as
     that one was.
@@ -260,7 +270,11 @@ def dumps_derivation(d: Derivation) -> str:
     if not _typed(_flat(map(_premises, steps)), _INT):
         bad = next(i for i, step in enumerate(steps) if not _typed(step.premises, _INT))
         dumps_derivation(Derivation(steps[:bad]))  # an earlier step that cannot be written raises first
-        p = next(p for p in steps[bad].premises if type(p) is not int)
+        premises = steps[bad].premises
+        try:
+            p = next(p for p in premises if type(p) is not int)
+        except TypeError:  # premises that do not iterate, such as None
+            raise ValueError(f"step {bad}: premises {premises!r} are not a list of integers") from None
         raise ValueError(f"step {bad}: premise index {p!r} is not an integer")
     pieces = ['{\n  "steps": [\n    ']
     append = pieces.append
@@ -269,11 +283,19 @@ def dumps_derivation(d: Derivation) -> str:
             comps, premises, subst = step.conclusion, step.premises, step.subst
             if comps:
                 append('{\n      "conclusion": {\n        "components": [\n          ')
-                append(",\n          ".join(map(component, comps)))
+                try:
+                    append(",\n          ".join(map(component, comps)))
+                except TypeError:  # a list component, a token not a str, or no iterable at all
+                    raise _Unwritable(f"conclusion {comps!r} is not a tuple of token tuples") from None
                 append("\n        ]")
-            else:
+            elif comps == ():
                 append('{\n      "conclusion": {\n        "components": []')
-            append(nt_line(step.conclusion_nt))
+            else:  # None or [], which would load back as ()
+                raise _Unwritable(f"conclusion {comps!r} is not a tuple of token tuples")
+            try:
+                append(nt_line(step.conclusion_nt))
+            except TypeError:  # a list, or not a str
+                raise _Unwritable(f"nt {step.conclusion_nt!r} is not a string") from None
             if premises:
                 append("[\n        ")
                 append(",\n        ".join(map(str, premises)))
@@ -286,8 +308,10 @@ def dumps_derivation(d: Derivation) -> str:
                 raise _Unwritable(f"rule index {rule_index!r} is not an integer")
             try:
                 append(rule_line((rule_index, step.blocking, step.schema)))
-            except TypeError:  # an unhashable blocking or schema: rendered uncached, or refused
-                append(_rule_line(rule_index, step.blocking, step.schema, row, q))
+            except TypeError:  # an unhashable key: _rule_line words a list schema or row first
+                _rule_line(rule_index, step.blocking, step.schema, row, q)
+                raise _Unwritable(f"blocking {step.blocking!r} is not hashable: "
+                                  "its blocks must be a tuple") from None
             if subst:
                 append("{\n        ")
                 try:
@@ -465,8 +489,11 @@ def _build(raw_steps: list) -> list[RuleInstance]:
 
 
 def _typed(items: Iterable[Any], types: frozenset[type]) -> bool:
-    """Whether every item's exact type is one of types, tested in C."""
-    return set(map(type, items)) <= types
+    """Whether items iterate and every item's exact type is one of types, tested in C."""
+    try:
+        return set(map(type, items)) <= types
+    except TypeError:  # items that do not iterate, such as premises=None
+        return False
 
 
 def _strings(lists: list[list]) -> bool:

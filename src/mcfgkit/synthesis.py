@@ -142,12 +142,13 @@ def _split_half(path: LatticePath, spans: tuple[Span, ...], k: int, target: int,
     return bounds, member, ends, offsets, at
 
 
-def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> Split:
+def refine_and_split(path: LatticePath, x: tuple[Span, ...]) -> Split:
     """Cut both halves at their breakpoints, refined by component cuts.
 
     x holds m disjoint (start, end) token spans of the word traced as
     path. Requires a zero-displacement tuple whose halves displace
-    nonzero (equivalently: either half, since they cancel). Returns
+    nonzero (equivalently: either half, since they cancel). Each half is
+    cut at k = (m + 2) // 8 intervals, the inverse of m = 8k - 2. Returns
     (path, x, left, right), each half as _split_half gives it. The left
     member side S keeps the larger side, the right member side T the
     smaller, so the slot counts of the eventual y and z both fit within m.
@@ -163,6 +164,7 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...], k: int) -> Split:
     left = sum(ends[: m // 2])
     if not left:
         raise ValueError("both halves must have nonzero displacement")
+    k = (m + 2) // 8
     # the halves displace by left and -left, whose coordinates are even: halving is exact
     return (path, x, _split_half(path, x[: m // 2], k, left // 2, True),
             _split_half(path, x[m // 2 :], k, -left // 2, False))
@@ -311,7 +313,7 @@ class _Synthesizer:
     def __init__(self, g: Grammar, w: Word):
         self.g = g
         self.n = len(g.terminals) // 2
-        self.params = grammar_params(self.n)
+        self.m = grammar_params(self.n).m
         self.path = word_to_path(w, self.n)
         self.steps: list[RuleInstance] = []
         self._axioms: dict[int, int] = {}
@@ -346,7 +348,7 @@ class _Synthesizer:
         here as schema steps carrying _fold_blocking(r, m); each fold's
         conclusion is sliced together, which is what that blocking gives.
         """
-        m = self.params.m
+        m = self.m
         path_steps = self.path.steps
         steps: list[tuple[int, int]] = []
         for s, e in x:
@@ -395,7 +397,7 @@ class _Synthesizer:
 
     def halve(self, x: tuple[Span, ...]) -> int:
         """Both halves displace zero and carry tokens: recurse on each."""
-        m = self.params.m
+        m = self.m
         half = m // 2
         pad = ((0, 0),) * half
         il = self.synth(x[:half] + pad)
@@ -415,7 +417,7 @@ class _Synthesizer:
         found by bisect_right on the size ladder (empty components repeat
         ladder entries).
         """
-        m = self.params.m
+        m = self.m
         ladder = list(accumulate((e - s for s, e in x), initial=0))
         distinct = sorted(set(ladder))
         while len(distinct) < m + 1:
@@ -434,13 +436,13 @@ class _Synthesizer:
         return self.combine(inner, empty, _pad_to_last(blocks, 2 * m))
 
     def synth(self, x: tuple[Span, ...]) -> int:
-        k, m = self.params
+        m = self.m
         if sum([e - s for s, e in x]) <= m:
             return self.base(x)
         keys = self.path.keys
         # packs the left half's displacement; 0 exactly when it is zero
         if sum([keys[2 * e] - keys[2 * s] for s, e in x[: m // 2]]):
-            y, z, blocking = make_yz(lift_to_lattice(refine_and_split(self.path, x, k)))
+            y, z, blocking = make_yz(lift_to_lattice(refine_and_split(self.path, x)))
             iy = self.synth(y)
             iz = self.synth(z)
             return self.combine(iy, iz, blocking)
@@ -477,7 +479,7 @@ def synthesize_word(w: Word, n: int) -> Derivation | None:
     if any(displacement(w, n)):
         return None
     syn = _Synthesizer(make_grammar(n), w)
-    m = syn.params.m
+    m = syn.m
     share, extra = divmod(len(w), m)
     x = _consecutive(share + (i < extra) for i in range(m))
     top = syn.synth(x)

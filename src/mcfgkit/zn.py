@@ -133,14 +133,9 @@ class LatticePath:
     def sub_path(self, spans: tuple[tuple[int, int], ...]) -> LatticePath:
         """The path of this path's steps in the given (start, end) spans, in order.
 
-        Those steps were checked when this path was built, so they are not
-        checked again; keys are packed at the new path's own base.
+        Its keys are packed at the new path's own base.
         """
-        path = object.__new__(LatticePath)
-        # as the frozen dataclass's __init__ would, minus __post_init__'s check
-        path.__dict__.update(n=self.n, steps=tuple(chain.from_iterable(
-            [self.steps[s:e] for s, e in spans])))
-        return path
+        return LatticePath(self.n, tuple(chain.from_iterable([self.steps[s:e] for s, e in spans])))
 
     def vector(self, key: int) -> Vec:
         """The vector packed into key; its coordinates must lie in [-base/2, base/2)."""

@@ -37,12 +37,13 @@ def abcd_grammar() -> Grammar:
 
 @pytest.fixture
 def split_ks(monkeypatch) -> list[int]:
-    """Records the k of every refine_and_split call the synthesizer makes."""
+    """Records the k of every refine_and_split call the synthesizer makes, read off
+    the tuple width m = 8k - 2."""
     seen: list[int] = []
 
-    def counting_split(path, x, k):
-        seen.append(k)
-        return refine_and_split(path, x, k)
+    def counting_split(path, x):
+        seen.append((len(x) + 2) // 8)
+        return refine_and_split(path, x)
 
     monkeypatch.setattr("mcfgkit.synthesis.refine_and_split", counting_split)
     return seen

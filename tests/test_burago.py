@@ -356,6 +356,37 @@ def test_search_matches_the_reference_search():
     assert padded >= 500, padded
 
 
+def test_k3_and_up_build_the_pair_table_by_the_k2_rule(monkeypatch):
+    # at k >= 3 the pair level scans the first row it reaches under the charge,
+    # and builds the table when that row ends or the charge runs out; the
+    # reference builds it before the search starts. The answers must be equal,
+    # some searches must answer in that row without a table, and none may
+    # build a second one
+    pair_table = burago_module._pair_table
+    built = []
+
+    def recording_table(keys):
+        built.append(len(keys))
+        return pair_table(keys)
+
+    monkeypatch.setattr(burago_module, "_pair_table", recording_table)
+    max_len = {5: 32, 6: 28, 7: 20, 8: 16}
+    rng = random.Random(3838)
+    tables = {True: 0, False: 0}
+    for i in range(600):
+        n = 5 + i % 4
+        k = grammar_params(n).k
+        word = (shuffled_pairs, walk_and_return)[i // 4 % 2](rng, n, max_len[n])
+        # a factor, as the synthesis searches: a non-zero target
+        a, b = sorted(rng.sample(range(len(word) + 1), 2))
+        path = word_to_path(word[a:b], n)
+        built.clear()
+        assert burago_partition(path, k) == reference_partition(path, k), (n, word[a:b])
+        assert len(built) <= 1, (n, word[a:b])
+        tables[bool(built)] += 1
+    assert tables[False] >= 100 and tables[True] >= 100, tables
+
+
 def test_search_is_symmetric_under_signed_axis_permutations():
     # the same tuple, or a failure on both sides; CI runs the same check at ranks 11-16
     max_len = {1: 64, 2: 64, 3: 48, 4: 48, 5: 32, 6: 28, 7: 20, 8: 16, 9: 14, 10: 12}

@@ -503,6 +503,58 @@ def test_a_subst_value_that_is_a_list_is_refused():
             f"subst {subst!r} is not (name, token tuple) pairs")
 
 
+def rank_one_steps() -> tuple[RuleInstance, ...]:
+    """A synthesized rank-1 derivation: an axis axiom, schema steps, the start rule last."""
+    return synthesize_word(("a1", "a1", "A1", "A1", "a1", "A1"), 1).steps
+
+
+@pytest.mark.parametrize("at", [1, 5], ids=["schema", "concrete"])
+def test_premises_that_do_not_iterate_are_refused(at):
+    steps = rank_one_steps()
+    refused(steps[:at] + (replace(steps[at], premises=None),), "premise-not-derived",
+            "premises None are not step indices", "premises None are not a list of integers")
+
+
+def test_a_subst_that_is_not_pairs_is_refused():
+    steps = rank_one_steps()
+    refused(steps[:5] + (replace(steps[5], subst=5),), "template-mismatch",
+            "substitution 5 is not (name, word) pairs", "subst 5 is not (name, token tuple) pairs")
+
+
+def test_a_conclusion_of_none_is_refused():
+    # written as "components": [], it would load back as ()
+    steps = rank_one_steps()
+    refused(steps[:1] + (replace(steps[1], conclusion=None),), "template-mismatch",
+            "conclusion does not equal the regrouped premise components",
+            "conclusion None is not a tuple of token tuples")
+
+
+@pytest.mark.parametrize("first", [["a1"], (5,)], ids=["list", "int-token"])
+def test_a_component_that_is_not_a_token_tuple_is_refused(first):
+    steps = rank_one_steps()
+    conclusion = (first,) + steps[1].conclusion[1:]
+    refused(steps[:1] + (replace(steps[1], conclusion=conclusion),), "template-mismatch",
+            "conclusion does not equal the regrouped premise components",
+            f"conclusion {conclusion!r} is not a tuple of token tuples")
+
+
+@pytest.mark.parametrize("nt", [["I"], 5], ids=["list", "int"])
+def test_an_nt_that_is_not_a_string_is_refused(nt):
+    steps = rank_one_steps()
+    refused(steps[:1] + (replace(steps[1], conclusion_nt=nt),), "template-mismatch",
+            "conclusion does not equal the regrouped premise components", f"nt {nt!r} is not a string")
+
+
+def test_a_blocking_whose_rows_sit_in_a_list_is_refused():
+    # its rows are fine, but the writer cannot hash it; written, it would load
+    # back with its rows in a tuple, unequal to the step given
+    steps = rank_one_steps()
+    blocking = Blocking(list(steps[1].blocking.blocks))
+    refused(steps[:1] + (replace(steps[1], blocking=blocking),), "blocking-malformed",
+            "blocks must be tuples of integer slots",
+            f"blocking {blocking!r} is not hashable: its blocks must be a tuple")
+
+
 def test_loads_derivation_rejects_invalid_json():
     with pytest.raises(GrammarFormatError):
         loads_derivation("{")

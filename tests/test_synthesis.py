@@ -48,7 +48,9 @@ from wordgen import (
     reference_yz,
     shuffled_pairs,
     step_at,
+    synthesis_symmetry,
     walk_and_return,
+    yz_symmetry,
     zero_displacement_words,
 )
 
@@ -165,11 +167,11 @@ def test_zero_displacement_halves_synthesize():
 
 def test_refine_and_split_validation():
     with pytest.raises(ValueError, match="even"):
-        refine_and_split(*traced((("a1",),), 1), 1)
+        refine_and_split(*traced((("a1",),), 1))
     with pytest.raises(ValueError, match=r"zero, got \(1,\)"):
-        refine_and_split(*traced((("a1",), ()), 1), 1)
+        refine_and_split(*traced((("a1",), ()), 1))
     with pytest.raises(ValueError, match="nonzero"):
-        refine_and_split(*traced((("a1", "A1"), ()), 1), 1)
+        refine_and_split(*traced((("a1", "A1"), ()), 1))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -178,7 +180,7 @@ def test_refined_split_shape(n, data):
     x = data.draw(splittable_tuples(n))
     k, m = grammar_params(n)
     path, spans = traced(x, n)
-    split = refine_and_split(path, spans, k)
+    split = refine_and_split(path, spans)
     assert split[:2] == (path, spans) and len(split[1]) == len(x)
     assert as_refined(split) == reference_refine(path, spans, k)
     assert as_refined(split).condition_sum() == (0,) * n
@@ -210,7 +212,7 @@ def test_refined_split_shape(n, data):
 def test_lift_moves_boundaries_onto_the_lattice(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
-    split = refine_and_split(*traced(x, n), k)
+    split = refine_and_split(*traced(x, n))
     # the lift edits the split's bounds in place, so the split is read before it
     refined = as_refined(split)
     assert lift_to_lattice(split) is split
@@ -259,7 +261,7 @@ def test_each_call_traces_its_word_once(n, split_ks):
         assert calls == {("word_to_path", w): 1, ("displacement", w): 1}
         assert split_ks
     path, spans = traced(x, n)
-    split = refine_and_split(path, spans, k)
+    split = refine_and_split(path, spans)
     assert split[0] is path and split[1] is spans
     for half, h in ((as_refined(split).left, slice(m // 2)), (as_refined(split).right, slice(m // 2, m))):
         assert half.spans == spans[h]
@@ -272,7 +274,7 @@ def test_lift_reports_unrepairable_minimal_split():
     # the lattice.  The lift must refuse loudly rather than loop.
     x = (("a1",), (), (), (), (), ("A1",))
     path, spans = traced(x, 1)
-    split = refine_and_split(path, spans, 1)
+    split = refine_and_split(path, spans)
     with pytest.raises(InternalInvariantError) as info:
         lift_to_lattice(split)
     assert "no mid-lattice endpoint can move" in str(info.value)
@@ -402,12 +404,13 @@ def lift_outcome(lift, split):
 
 
 def recorded_split_inputs(monkeypatch, run) -> list:
-    """The (path, x, k) of every split synthesis makes while run() runs."""
+    """The (path, x, k) of every split synthesis makes while run() runs, k read off
+    the width m = 8k - 2."""
     inputs = []
 
-    def recording_split(path, x, k, original=refine_and_split):
-        inputs.append((path, x, k))
-        return original(path, x, k)
+    def recording_split(path, x, original=refine_and_split):
+        inputs.append((path, x, (len(x) + 2) // 8))
+        return original(path, x)
 
     with monkeypatch.context() as mp:
         mp.setattr(mcfgkit.synthesis, "refine_and_split", recording_split)
@@ -434,7 +437,7 @@ def test_lift_matches_the_closure_reference(monkeypatch):
             for family in (shuffled_pairs, walk_and_return):
                 words += [(family(rng, n, length), n) for _ in range(1 if k < 4 else 6)]
     inputs = recorded_split_inputs(monkeypatch, lambda: [synthesize_word(w, n) for w, n in words])
-    splits = [refine_and_split(*i) for i in inputs]
+    splits = [refine_and_split(path, x) for path, x, _ in inputs]
     refined = [as_refined(split) for split in splits]
     odd = Counter(any(b % 2 for half in (s.left, s.right) for b in half.boundaries)
                   for s in refined)
@@ -462,12 +465,12 @@ def test_lift_matches_the_closure_reference(monkeypatch):
     # no boundary is odd: nothing moves
     unmoved = next(i for i, s in enumerate(refined)
                    if not any(b % 2 for b in s.left.boundaries + s.right.boundaries))
-    split = refine_and_split(*inputs[unmoved])
+    split = refine_and_split(*inputs[unmoved][:2])
     assert lift_outcome(lift_to_lattice, split) == (
         (refined[unmoved].left.boundaries, refined[unmoved].left.members),
         (refined[unmoved].right.boundaries, refined[unmoved].right.members))
     x = (("a1",), (), (), (), (), ("A1",))
-    minimal = refine_and_split(*traced(x, 1), 1)
+    minimal = refine_and_split(*traced(x, 1))
     assert lift_outcome(lift_to_lattice, minimal) == lift_outcome(closure_lift, as_refined(minimal))
 
 
@@ -484,9 +487,9 @@ def test_split_stage_row_zero_matches_the_search(monkeypatch):
     lex-min on the half's own path when t1 = 0, and None when row 0 holds none."""
     tuples = []
 
-    def recording_split(path, x, k, original=refine_and_split):
+    def recording_split(path, x, original=refine_and_split):
         tuples.append((path, x))
-        return original(path, x, k)
+        return original(path, x)
 
     monkeypatch.setattr(mcfgkit.synthesis, "refine_and_split", recording_split)
     rng = random.Random(5150)
@@ -592,7 +595,7 @@ def test_condition_sum_on_the_word_keys_matches_the_half_paths(monkeypatch):
                 words.append((family(rng, n, length), n))
     splits = []
     for path, x, k in recorded_split_inputs(monkeypatch, lambda: [synthesize_word(w, n) for w, n in words]):
-        split = refine_and_split(path, x, k)
+        split = refine_and_split(path, x)
         splits.append((as_refined(split), split))
         splits.append((as_refined(lift_to_lattice(split)), split))
     assert {s.left.word.n for s, _ in splits} == set(range(1, 7))
@@ -630,7 +633,7 @@ def test_condition_sum_on_the_word_keys_matches_the_half_paths(monkeypatch):
 def test_yz_reassembles_to_the_original_tuple(n, data):
     x = data.draw(recursion_tuples(n))
     k, m = grammar_params(n)
-    yz = make_yz(lift_to_lattice(refine_and_split(*traced(x, n), k)))
+    yz = make_yz(lift_to_lattice(refine_and_split(*traced(x, n))))
     ref = reference_split(*traced(x, n), k)
     assert yz == (ref.y, ref.z, ref.blocking)
     y_spans, z_spans, blocking = yz
@@ -657,7 +660,7 @@ def split_outcome(stages, path, x, k):
 
 
 def library_split(path, x, k):
-    return make_yz(lift_to_lattice(refine_and_split(path, x, k)))
+    return make_yz(lift_to_lattice(refine_and_split(path, x)))
 
 
 def reference_outcome(path, x, k):
@@ -687,7 +690,7 @@ def test_split_stages_match_the_reference(monkeypatch):
     inputs = recorded_split_inputs(monkeypatch, run)
     seen = Counter()
     for path, x, k in inputs:
-        split = refine_and_split(path, x, k)
+        split = refine_and_split(path, x)
         for (bounds, _, ends, _, at), spans in zip(split[2:], (x[: len(x) // 2], x[len(x) // 2 :])):
             seen["breakpoint on a cut"] += any(bounds[i] in ends[:-1] for i in at)
             if k == 1:
@@ -705,6 +708,35 @@ def test_split_stages_match_the_reference(monkeypatch):
     assert outcome == split_outcome(reference_outcome, path, x, 1)
 
 
+# (words, longest length) per rank: the k >= 4 searches grow steep past L = m + 2
+# on some words (a rank-8 word of L = 3m took 2.4 s), so ranks 7 to 10 draw fewer
+# words of that length only. CI runs ranks 11 to 16
+SYMMETRY_WORDS = {n: (10, 3 * grammar_params(n).m) if n <= 6
+                  else (6 if n <= 8 else 4, grammar_params(n).m + 2) for n in range(1, 11)}
+
+
+def test_split_stage_is_symmetric_under_signed_axis_permutations():
+    # every split synthesis makes gives the same y, z and blocking on the word's
+    # path and on its image's, as the search gives both the same breakpoints
+    rng = random.Random(4127)
+    splits = 0
+    for n, (cases, cap) in SYMMETRY_WORDS.items():
+        differ, count = yz_symmetry(rng, n, cases, cap)
+        assert not differ, (n, differ[:3])
+        assert count >= cases, (n, count)
+        splits += count
+    assert splits >= 100, splits
+
+
+def test_synthesis_is_symmetric_under_axis_permutations():
+    # the derivation of the permuted word is the word's own, tokens renamed and
+    # each axis axiom read as the permuted axis's
+    rng = random.Random(4129)
+    for n, (cases, cap) in SYMMETRY_WORDS.items():
+        differ = synthesis_symmetry(rng, n, cases, cap)
+        assert not differ, (n, differ[:3])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_make_yz_reports_a_changed_balance_sum(n):
     """A lifted split whose boundaries are moved afterwards, one edge at a
@@ -714,7 +746,7 @@ def test_make_yz_reports_a_changed_balance_sum(n):
     k, m = grammar_params(n)
     w = walk_and_return(random.Random(n), n, 3 * m)
     path, spans = traced((w[:1],) + ((),) * (m - 2) + (w[1:],), n)
-    split = lift_to_lattice(refine_and_split(path, spans, k))
+    split = lift_to_lattice(refine_and_split(path, spans))
     bounds, _, _, _, at = split[3]
     i = next(i for i in at if bounds[i] - 2 >= bounds[i - 1])
     bounds[i] -= 2
@@ -728,7 +760,7 @@ def test_make_yz_reports_a_changed_balance_sum(n):
 def test_make_yz_refuses_an_unlifted_split():
     """A split that skipped the lift still has an odd boundary, which names no
     token span of the word: make_yz refuses it as the reference does."""
-    split = refine_and_split(*traced((("a1",), (), (), (), (), ("A1",)), 1), 1)
+    split = refine_and_split(*traced((("a1",), (), (), (), (), ("A1",)), 1))
     with pytest.raises(ValueError) as info:
         make_yz(split)
     assert str(info.value) == "part 1 spans odd parameters (0, 1)"
@@ -742,7 +774,7 @@ def test_make_yz_reports_an_over_full_side():
     for n in range(1, 7):
         k, m = grammar_params(n)
         w = walk_and_return(random.Random(n), n, 3 * m)
-        split = lift_to_lattice(refine_and_split(*traced((w[:1],) + ((),) * (m - 2) + (w[1:],), n), k))
+        split = lift_to_lattice(refine_and_split(*traced((w[:1],) + ((),) * (m - 2) + (w[1:],), n)))
         for half in split[2:]:
             half[1][:] = [True] * len(half[1])
         with pytest.raises(InternalInvariantError) as info:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, combinations_with_replacement, product, repeat
 from operator import sub
@@ -13,8 +13,9 @@ from typing import Iterator
 
 import hypothesis.strategies as st
 
-from mcfgkit import (Blocking, InternalInvariantError, LatticePath, Vec, Word, alphabet, l1,
-                     make_token, token_step, word_to_path)
+from mcfgkit import (Blocking, InternalInvariantError, LatticePath, Vec, Word, alphabet,
+                     grammar_params, l1, lift_to_lattice, make_token, make_yz, synthesis,
+                     synthesize_word, token_step, word_to_path)
 from mcfgkit.burago import burago_partition, row_zero
 
 
@@ -61,11 +62,18 @@ def block_word(n: int, r: int) -> Word:
                  for axis in range(1, n + 1) for _ in range(r))
 
 
+def axis_relabelling(rng: random.Random, n: int, flips: bool = True) -> dict[str, str]:
+    """A map of the rank-n tokens that permutes the axes and, if flips, reverses
+    some of them, both drawn from rng."""
+    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
+    flip = {axis: rng.choice((1, -1)) if flips else 1 for axis in relabel}
+    return {make_token(axis, sign): make_token(relabel[axis], flip[axis] * sign)
+            for axis in relabel for sign in (1, -1)}
+
+
 def relabel_axes(rng: random.Random, n: int, word: Word) -> Word:
     """word with its axes permuted and some of them reversed, both drawn from rng."""
-    relabel = dict(zip(range(1, n + 1), rng.sample(range(1, n + 1), n)))
-    flip = {axis: rng.choice((1, -1)) for axis in relabel}
-    return tuple(make_token(relabel[axis], flip[axis] * sign) for axis, sign in map(token_step, word))
+    return tuple(map(axis_relabelling(rng, n).__getitem__, word))
 
 
 def search_symmetry(rng: random.Random, n: int, cases: int, max_len: int) -> tuple[list, int]:
@@ -96,6 +104,76 @@ def search_symmetry(rng: random.Random, n: int, cases: int, max_len: int) -> tup
             differ.append((k, word, image))
         failed += answers[0] is None
     return differ, failed
+
+
+def _splitting_word(rng: random.Random, n: int, i: int, max_len: int) -> Word:
+    """The i-th word of a symmetry run: shuffled pairs or a walk-and-return word,
+    in turn, of an even length from m + 2, the least that splits, up to max_len."""
+    m = grammar_params(n).m
+    length = 2 * rng.randrange(m // 2 + 1, max(m + 2, max_len) // 2 + 1)
+    return (shuffled_pairs, walk_and_return)[i % 2](rng, n, length)
+
+
+def yz_symmetry(rng: random.Random, n: int, cases: int, max_len: int) -> tuple[list, int]:
+    """make_yz on every split that synthesize_word makes of each word, and on the
+    same spans of its relabel_axes image: the (word, image, x) whose (y, z,
+    blocking) differ, and the number of splits compared.
+
+    The search gives both paths the same breakpoints (search_symmetry), the
+    lift pairs boundaries on equal axes, and a reversed axis flips the effect
+    of both boundaries of a pair, so the moves are the same; y and z are
+    spans of the word, so they must be equal, and so must the blocking.
+    """
+    tuples: list = []
+    original = synthesis.refine_and_split
+
+    def recording_split(path, x):
+        tuples.append(x)
+        return original(path, x)
+
+    differ, splits = [], 0
+    synthesis.refine_and_split = recording_split
+    try:
+        for i in range(cases):
+            word = _splitting_word(rng, n, i, max_len)
+            image = relabel_axes(rng, n, word)
+            tuples.clear()
+            synthesize_word(word, n)
+            path, mirror = word_to_path(word, n), word_to_path(image, n)
+            for x in tuples:
+                if (make_yz(lift_to_lattice(original(path, x)))
+                        != make_yz(lift_to_lattice(original(mirror, x)))):
+                    differ.append((word, image, x))
+            splits += len(tuples)
+    finally:
+        synthesis.refine_and_split = original
+    return differ, splits
+
+
+def synthesis_symmetry(rng: random.Random, n: int, cases: int, max_len: int) -> list:
+    """synthesize_word on each word and on its image under a drawn axis
+    permutation π: the (word, image) whose derivations differ once the first's
+    tokens are renamed by π and each axis axiom's rule index 1 + a is read as
+    1 + π(a).
+
+    Only permutations: a reversed axis would give the base case the pair
+    (A, a) in place of (a, A), whose slots it fills in the other order.
+    """
+    differ = []
+    for i in range(cases):
+        word = _splitting_word(rng, n, i, max_len)
+        rename = axis_relabelling(rng, n, flips=False)
+        image = tuple(map(rename.__getitem__, word))
+        # rule 0 is the start rule, 1 the empty axiom and 1 + a the axiom of axis a
+        rule = {1 + a: 1 + token_step(rename[make_token(a, 1)])[0] for a in range(1, n + 1)}
+        renamed = tuple(
+            replace(step, conclusion=tuple(tuple(map(rename.__getitem__, c)) for c in step.conclusion),
+                    rule_index=rule.get(step.rule_index, step.rule_index),
+                    subst=tuple((v, tuple(map(rename.__getitem__, w))) for v, w in step.subst))
+            for step in synthesize_word(word, n).steps)
+        if synthesize_word(image, n).steps != renamed:
+            differ.append((word, image))
+    return differ
 
 
 def zero_displacement_words(n: int, min_pairs: int = 0, max_pairs: int = 7):
