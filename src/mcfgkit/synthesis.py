@@ -32,7 +32,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import accumulate, chain, filterfalse
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable
 
 from .burago import InternalInvariantError, burago_partition, row_zero
 from .derivation import Derivation, RuleInstance, apply_blocking
@@ -147,8 +147,8 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...]) -> Split:
 
     x holds m disjoint (start, end) token spans of the word traced as
     path. Requires a zero-displacement tuple whose halves displace
-    nonzero (equivalently: either half, since they cancel). Each half is
-    cut at k = (m + 2) // 8 intervals, the inverse of m = 8k - 2. Returns
+    nonzero (equivalently: either half, since they cancel), of a width
+    m = 8k - 2; each half is cut at k = (m + 2) // 8 intervals. Returns
     (path, x, left, right), each half as _split_half gives it. The left
     member side S keeps the larger side, the right member side T the
     smaller, so the slot counts of the eventual y and z both fit within m.
@@ -164,6 +164,8 @@ def refine_and_split(path: LatticePath, x: tuple[Span, ...]) -> Split:
     left = sum(ends[: m // 2])
     if not left:
         raise ValueError("both halves must have nonzero displacement")
+    if (m + 2) % 8:
+        raise ValueError(f"tuple width must be 8k - 2 for some k >= 1, got {m}")
     k = (m + 2) // 8
     # the halves displace by left and -left, whose coordinates are even: halving is exact
     return (path, x, _split_half(path, x[: m // 2], k, left // 2, True),
@@ -176,18 +178,21 @@ def lift_to_lattice(split: Split) -> Split:
     Every odd boundary lies between opposite sides of the balance
     condition: the boundaries are component cuts, which are even and keep
     the side, and breakpoints, each of which switches it; so only the
-    breakpoints are visited. An odd boundary pairs with another whose edge
-    lies on the same axis, and both shift together so the balance sum is
-    unchanged; the direction flips when a side would run out of content.
-    Every move turns odd parameters even and never moves component cuts,
-    so the refinement property survives. A full scan with no legal move
-    would contradict the parity of crossing endpoints and raises
-    InternalInvariantError. The first legal move in trial order is made:
-    one that keeps the member-side extent `inside` in (0, total). That is
-    the same test as [2, total - 2]: every odd boundary is a breakpoint, so
-    it borders exactly one member part, and each axis has an even number of
-    them, as the balance sum is even; so inside is even, total is even, and
-    a move, two boundaries by 1 each, changes inside by -2, 0 or 2.
+    breakpoints are visited. A half holds at most one odd breakpoint per
+    axis: were p < q two on edges of one axis, moving p to p - 1 and q by
+    whichever of +-1 restores the interval sum would give a valid tuple
+    lexicographically smaller than the lex-min one. The balance sum is
+    even on every axis, so an axis with an odd breakpoint has exactly one
+    in each half. The left half's odd breakpoints are taken in order, and
+    each moves together with the right half's one on its axis, so the
+    balance sum is unchanged: by -1, or by +1 when -1 would empty a side,
+    that is, put the member-side extent `inside` outside (0, total).
+    Each moved breakpoint borders exactly one member part, so a move
+    changes inside by -2, 0 or 2, and inside and total are even; one
+    direction is therefore legal unless total is 4, the minimal split
+    that no move can repair. That split, and a broken pairing, raise
+    InternalInvariantError. Every move turns odd parameters even and
+    never moves component cuts, so the refinement property survives.
     The split is one as refine_and_split returns it: its breakpoints are
     leading (0, 0) pairs, then strictly increasing (burago_partition), and
     the cuts are even, so each odd boundary lies strictly between its
@@ -197,59 +202,43 @@ def lift_to_lattice(split: Split) -> Split:
     """
     path, x, left, right = split
     steps = path.steps
-    odd = []
+    # per axis, its odd breakpoints, the left half's first, as (h, i, side, effect): side
+    # is the change in member-side extent when boundary i of half h moves by +1; moving
+    # by delta changes the balance sum by delta * effect on the axis of its edge, which
+    # lies in the component after the i - 1 - j cuts before boundary i
+    odd: dict[int, list] = {}
     for h, (b, member, _, offsets, at) in enumerate((left, right)):
         for j, i in enumerate(at):
             if b[i] % 2:
-                # (h, i, side, axis, effect): side is the change in member-side extent
-                # when the boundary moves by +1; moving by delta changes the balance
-                # sum by delta * effect on the axis of its edge, which lies in the
-                # component after the i - 1 - j cuts before boundary i
                 side = member[i - 1] - member[i]
                 axis, sign = steps[(b[i] + offsets[i - 1 - j]) // 2]
-                odd.append((h, i, side, axis, sign * side))
+                odd.setdefault(axis, []).append((h, i, side, sign * side))
     if not odd:
         return split
-    bounds = [left[0], right[0]]
-    total = bounds[0][-1] + bounds[1][-1]
+    total = left[0][-1] + right[0][-1]
     inside = sum([hi - lo for b, member, *_ in (left, right)
                   for lo, hi, f in zip(b, b[1:], member) if f])
-    while odd:
-        for moves, grow in _trial_moves(odd):
-            if 0 < inside + grow < total:
-                break
-        else:
+    for pair in odd.values():
+        (h, i, side, effect), (h2, j, side2, effect2) = pair[0], pair[-1]
+        # the partner moves by -delta * effect * effect2, so inside grows by delta * grow
+        grow = side - effect * effect2 * side2
+        delta = next((d for d in (-1, 1) if 0 < inside + d * grow < total), 0)
+        if (h, h2, len(pair)) != (0, 1, 2) or not delta:
             raise InternalInvariantError(
                 "no mid-lattice endpoint can move",
                 {
-                    "left_boundaries": tuple(bounds[0]),
-                    "right_boundaries": tuple(bounds[1]),
+                    "left_boundaries": tuple(left[0]),
+                    "right_boundaries": tuple(right[0]),
                     "left_members": [p for p, f in enumerate(left[1]) if f],
                     "right_members": [p for p, f in enumerate(right[1]) if f],
                     "left_steps": path.sub_path(x[: len(x) // 2]).steps,
                     "right_steps": path.sub_path(x[len(x) // 2 :]).steps,
                 },
             )
-        for h, i, delta in moves:
-            bounds[h][i] += delta
-        inside += grow
-        # a move makes its boundaries even and leaves the others as they were
-        odd = [o for o in odd if bounds[o[0]][o[1]] % 2]
+        left[0][i] += delta
+        right[0][j] -= delta * effect * effect2
+        inside += delta * grow
     return split
-
-
-def _trial_moves(odd: list[tuple[int, int, int, int, int]]) -> Iterator[tuple[tuple, int]]:
-    """Moves in trial order, each with its change in member-side extent.
-
-    Boundaries in order, each with every partner on the same axis in order;
-    -1 before +1.
-    """
-    for h, i, side, axis, effect in odd:
-        for h2, j, side2, axis2, effect2 in odd:
-            if axis2 == axis and (h2, j) != (h, i):
-                for delta in (-1, 1):
-                    delta2 = -delta * effect * effect2
-                    yield ((h, i, delta), (h2, j, delta2)), delta * side + delta2 * side2
 
 
 def make_yz(split: Split) -> tuple[tuple[Span, ...], tuple[Span, ...], Blocking]:

@@ -35,6 +35,7 @@ from mcfgkit import (
 )
 from mcfgkit.burago import burago_partition, row_zero
 
+import wordgen
 from wordgen import (
     RefinedSplit,
     all_words,
@@ -47,6 +48,8 @@ from wordgen import (
     reference_split,
     reference_yz,
     shuffled_pairs,
+    split_differential,
+    split_outcomes,
     step_at,
     synthesis_symmetry,
     walk_and_return,
@@ -172,6 +175,15 @@ def test_refine_and_split_validation():
         refine_and_split(*traced((("a1",), ()), 1))
     with pytest.raises(ValueError, match="nonzero"):
         refine_and_split(*traced((("a1", "A1"), ()), 1))
+    # only widths m = 8k - 2 split; k is read off the width
+    for m in (2, 4, 6, 8, 10, 12, 14):
+        x = ((("a1",),) + ((),) * (m // 2 - 1)) + ((("A1",),) + ((),) * (m // 2 - 1))
+        if m in (6, 14):
+            assert len(refine_and_split(*traced(x, 1))[2][4]) == 2 * (m + 2) // 8
+        else:
+            with pytest.raises(ValueError) as info:
+                refine_and_split(*traced(x, 1))
+            assert str(info.value) == f"tuple width must be 8k - 2 for some k >= 1, got {m}"
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -285,6 +297,23 @@ def test_lift_reports_unrepairable_minimal_split():
     with pytest.raises(InternalInvariantError) as ref:
         reference_lift(reference_refine(path, spans, 1))
     assert str(info.value) == str(ref.value) and info.value.payload == ref.value.payload
+
+
+@pytest.mark.parametrize("h, a", [(2, 1), (3, 1), (2, 0)], ids=["left-even", "right-even", "left-two"])
+def test_lift_refuses_a_broken_pairing(h, a):
+    # Each half of this split holds one odd breakpoint, on axis 1. Moved by one
+    # by hand, breakpoint a of half h leaves the other half's odd breakpoint
+    # with no partner (a = 1) or gives half h two on axis 1 (a = 0); a lex-min
+    # tuple has neither, and the lift refuses the split before moving anything.
+    x = (("A1",), ("A1",), ("a1",), ("a1",), ("A1",), ("a1", "A1", "a1"))
+    split = refine_and_split(*traced(x, 1))
+    assert [split[g][0][i] for g in (2, 3) for i in split[g][4]] == [0, 1, 0, 1]
+    split[h][0][split[h][4][a]] += 1
+    edited = (tuple(split[2][0]), tuple(split[3][0]))
+    with pytest.raises(InternalInvariantError) as info:
+        lift_to_lattice(split)
+    assert str(info.value).startswith("no mid-lattice endpoint can move")
+    assert (info.value.payload["left_boundaries"], info.value.payload["right_boundaries"]) == edited
 
 
 # The lattice lift as it stood before it ran without closures, verbatim: the
@@ -424,9 +453,13 @@ def test_lift_matches_the_closure_reference(monkeypatch):
     minimal split that neither can repair, with the same message and payload.
     Every odd boundary of those splits lies between opposite sides, so the
     lift never meets a same-side one, and strictly between its neighbours,
-    so no move of one puts the bounds out of order. The member-side extent
-    and the total are even, and every trial move changes the extent by -2,
-    0 or 2, so the lift's extent test (0, total) is the same as [2, total - 2]."""
+    so no move of one puts the bounds out of order. Each half holds at most
+    one odd breakpoint per axis, both halves hold them on the same axes, and
+    every move the trial-order reference (reference_lift) accepts pairs the
+    left half's one with the right half's one on its axis: the pairing the
+    lift makes without a search. The member-side extent and the total are
+    even, and every trial move changes the extent by -2, 0 or 2, so the
+    lift's extent test (0, total) is the same as [2, total - 2]."""
     rng = random.Random(8081)
     words = []
     for n in range(1, 11):
@@ -443,24 +476,48 @@ def test_lift_matches_the_closure_reference(monkeypatch):
                   for s in refined)
     assert odd[True] >= 500 and odd[False] >= 80, odd
     assert {s.left.path.n for s in refined} == set(range(1, 11))
-    grows = []
+    grows, accepted = [], []
 
-    def recording_moves(odd, trial_moves=mcfgkit.synthesis._trial_moves):
-        for moves, grow in trial_moves(odd):
+    def recording_moves(odd, reference_moves=wordgen._reference_moves):
+        for moves, grow in reference_moves(odd):
             grows.append(grow)
             yield moves, grow
 
-    monkeypatch.setattr(mcfgkit.synthesis, "_trial_moves", recording_moves)
+    def recording_apply(bounds, moves, reference_apply=wordgen._reference_apply):
+        if reference_apply(bounds, moves):
+            accepted.append(moves)
+            return True
+        return False
+
+    monkeypatch.setattr(wordgen, "_reference_moves", recording_moves)
+    monkeypatch.setattr(wordgen, "_reference_apply", recording_apply)
+    axes_seen = 0
     for split, ref in zip(splits, refined):
         inside = 0
+        odd_axes = []
         for half in (ref.left, ref.right):
             b, members = half.boundaries, half.members
             assert all(((i - 1) in members) != (i in members)
                        for i in range(1, len(b) - 1) if b[i] % 2), (b, members)
             assert all(b[i - 1] < b[i] < b[i + 1] for i in range(1, len(b) - 1) if b[i] % 2), b
             inside += sum(b[p + 1] - b[p] for p in members)
+            axes = [step_at(half.path, b[i])[0] for i in range(1, len(b) - 1) if b[i] % 2]
+            assert len(set(axes)) == len(axes), (b, axes)
+            odd_axes.append(set(axes))
+        assert odd_axes[0] == odd_axes[1], odd_axes
+        axes_seen += len(odd_axes[0])
         assert inside % 2 == 0 and (ref.left.boundaries[-1] + ref.right.boundaries[-1]) % 2 == 0
-        assert lift_outcome(lift_to_lattice, split) == lift_outcome(closure_lift, ref)
+        expected = lift_outcome(closure_lift, ref)
+        accepted.clear()
+        assert lift_outcome(reference_lift, ref) == expected
+        # one accepted move per axis, each the left half's odd breakpoint and the right half's
+        assert len(accepted) == len(odd_axes[0])
+        for (h, i, _), (h2, j, _) in accepted:
+            lb, rb = ref.left.boundaries[i], ref.right.boundaries[j]
+            assert (h, h2) == (0, 1) and lb % 2 and rb % 2
+            assert step_at(ref.left.path, lb)[0] == step_at(ref.right.path, rb)[0]
+        assert lift_outcome(lift_to_lattice, split) == expected
+    assert axes_seen >= 1000, axes_seen
     assert len(grows) >= 1000 and set(grows) <= {-2, 0, 2}, Counter(grows)
     # no boundary is odd: nothing moves
     unmoved = next(i for i, s in enumerate(refined)
@@ -651,30 +708,14 @@ def test_yz_reassembles_to_the_original_tuple(n, data):
     assert 1 <= len(flatten(y)) <= total - 1  # strict descent on both sides
 
 
-def split_outcome(stages, path, x, k):
-    """(y, z, blocking) from the given stages, or the error's text and payload."""
-    try:
-        return stages(path, x, k)
-    except InternalInvariantError as err:
-        return str(err), err.payload
-
-
-def library_split(path, x, k):
-    return make_yz(lift_to_lattice(refine_and_split(path, x)))
-
-
-def reference_outcome(path, x, k):
-    ref = reference_split(path, x, k)
-    return ref.y, ref.z, ref.blocking
-
-
-def test_split_stages_match_the_reference(monkeypatch):
+def test_split_stages_match_the_reference():
     """Every split that synthesis makes on seeded shuffled, walk and block words
     at ranks 1 to 6, and on the random spreads, gives the same y, z and
     blocking through the library's stages as through the reference's
-    dataclass stages. The cases include lifts that move at k = 1, 2 and 3,
-    k = 1 halves with no row-0 answer on the word's keys, and breakpoints
-    that land on a component cut; the minimal unrepairable split fails alike."""
+    dataclass stages (split_differential). The cases include lifts that move
+    at k = 1, 2 and 3, k = 1 halves with no row-0 answer on the word's keys,
+    and breakpoints that land on a component cut; the minimal unrepairable
+    split fails alike. CI runs ranks 7 to 12."""
     def run():
         rng = random.Random(4242)
         for n in range(1, 7):
@@ -687,25 +728,14 @@ def test_split_stages_match_the_reference(monkeypatch):
         for n, x in random_spreads():
             synthesize(x, make_grammar(n))
 
-    inputs = recorded_split_inputs(monkeypatch, run)
-    seen = Counter()
-    for path, x, k in inputs:
-        split = refine_and_split(path, x)
-        for (bounds, _, ends, _, at), spans in zip(split[2:], (x[: len(x) // 2], x[len(x) // 2 :])):
-            seen["breakpoint on a cut"] += any(bounds[i] in ends[:-1] for i in at)
-            if k == 1:
-                target = sum(path.keys[2 * e] - path.keys[2 * s] for s, e in spans) // 2
-                seen["k = 1, no row 0"] += row_zero(path.keys, spans, target) is None
-        seen["moves", k] += any(split[h][0][i] % 2 for h in (2, 3) for i in split[h][4])
-        seen["ranks", path.n] += 1
-        assert split_outcome(library_split, path, x, k) == split_outcome(reference_outcome, path, x, k)
+    differ, seen = split_differential(run)
+    assert not differ, [(path.n, x) for path, x in differ[:3]]
     assert all(seen["ranks", n] for n in range(1, 7)), seen
     assert all(seen["moves", k] >= 100 for k in (1, 2, 3)), seen
     assert seen["k = 1, no row 0"] >= 100 and seen["breakpoint on a cut"] >= 500, seen
-    path, x = traced((("a1",), (), (), (), (), ("A1",)), 1)
-    outcome = split_outcome(library_split, path, x, 1)
-    assert outcome[0].startswith("no mid-lattice endpoint can move")
-    assert outcome == split_outcome(reference_outcome, path, x, 1)
+    library, reference = split_outcomes(*traced((("a1",), (), (), (), (), ("A1",)), 1))
+    assert library[0].startswith("no mid-lattice endpoint can move")
+    assert library == reference
 
 
 # (words, longest length) per rank: the k >= 4 searches grow steep past L = m + 2

@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate, chain, combinations_with_replacement, product, repeat
 from operator import sub
-from typing import Iterator
+from typing import Callable, Iterator
 
 import hypothesis.strategies as st
 
@@ -428,6 +429,66 @@ def reference_yz(split: RefinedSplit) -> YZSplit:
 def reference_split(path: LatticePath, x: tuple[Span, ...], k: int) -> YZSplit:
     """y, z and the blocking of the m-tuple of spans x, through the reference stages."""
     return reference_yz(reference_lift(reference_refine(path, x, k)))
+
+
+def split_outcomes(path: LatticePath, x: tuple[Span, ...]) -> tuple[tuple, tuple]:
+    """(y, z, blocking) of the m-tuple of spans x through the library's stages and
+    through the reference's, each replaced by its error's text and payload if it
+    raises InternalInvariantError."""
+    def library():
+        return make_yz(lift_to_lattice(synthesis.refine_and_split(path, x)))
+
+    def reference():
+        ref = reference_split(path, x, (len(x) + 2) // 8)
+        return ref.y, ref.z, ref.blocking
+
+    outcomes = []
+    for stages in (library, reference):
+        try:
+            outcomes.append(stages())
+        except InternalInvariantError as err:
+            outcomes.append((str(err), err.payload))
+    return outcomes[0], outcomes[1]
+
+
+def split_differential(run: Callable[[], object]) -> tuple[list, Counter]:
+    """Every split that synthesis makes while run() runs, through the library's
+    stages and through the reference's (split_outcomes): the (path, x) whose
+    outcomes differ, and a Counter of what the splits cover.
+
+    The Counter holds ("ranks", n), the splits at rank n; ("moves", k), those
+    of k intervals whose lift moves a boundary; "breakpoint on a cut", the
+    halves with a breakpoint on a component cut; and "k = 1, no row 0", the
+    k = 1 halves whose row 0 holds no answer on the word's keys.
+    """
+    tuples: list = []
+    original = synthesis.refine_and_split
+
+    def recording_split(path, x):
+        tuples.append((path, x))
+        return original(path, x)
+
+    synthesis.refine_and_split = recording_split
+    try:
+        run()
+    finally:
+        synthesis.refine_and_split = original
+    differ, seen = [], Counter()
+    for path, x in tuples:
+        m = len(x)
+        k = (m + 2) // 8
+        split = original(path, x)
+        for (bounds, _, ends, _, at), spans in zip(split[2:], (x[: m // 2], x[m // 2 :])):
+            seen["breakpoint on a cut"] += any(bounds[i] in ends[:-1] for i in at)
+            if k == 1:
+                target = sum(path.keys[2 * e] - path.keys[2 * s] for s, e in spans) // 2
+                seen["k = 1, no row 0"] += row_zero(path.keys, spans, target) is None
+        seen["moves", k] += any(split[h][0][i] % 2 for h in (2, 3) for i in split[h][4])
+        seen["ranks", path.n] += 1
+        library, reference = split_outcomes(path, x)
+        if library != reference:
+            differ.append((path, x))
+    return differ, seen
 
 
 def as_refined(split) -> RefinedSplit:
